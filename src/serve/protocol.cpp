@@ -1,48 +1,71 @@
 #include "serve/protocol.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace uncertain {
 namespace serve {
 namespace {
 
-/** Incremental little-endian writer into a byte vector. */
+/**
+ * Little-endian writer into a frame sized up front: each field lands
+ * at the next fixed offset, with no per-byte growth checks.
+ */
 class Writer
 {
   public:
-    explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+    explicit Writer(std::uint8_t* out) : out_(out) {}
 
     void
     u16(std::uint16_t v)
     {
-        out_.push_back(static_cast<std::uint8_t>(v));
-        out_.push_back(static_cast<std::uint8_t>(v >> 8));
+        put(v, 2);
     }
 
     void
     u32(std::uint32_t v)
     {
-        for (int shift = 0; shift < 32; shift += 8)
-            out_.push_back(static_cast<std::uint8_t>(v >> shift));
+        put(v, 4);
     }
 
     void
     u64(std::uint64_t v)
     {
-        for (int shift = 0; shift < 64; shift += 8)
-            out_.push_back(static_cast<std::uint8_t>(v >> shift));
+        put(v, 8);
     }
 
     void
     f64(double v)
     {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
+        u64(std::bit_cast<std::uint64_t>(v));
+    }
+
+    /** The doubles of @p values, one after another. */
+    void
+    f64s(const std::vector<double>& values)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            if (!values.empty()) {
+                std::memcpy(out_, values.data(),
+                            values.size() * sizeof(double));
+                out_ += values.size() * sizeof(double);
+            }
+        } else {
+            for (double v : values)
+                f64(v);
+        }
     }
 
   private:
-    std::vector<std::uint8_t>& out_;
+    void
+    put(std::uint64_t v, int bytes)
+    {
+        for (int i = 0; i < bytes; ++i)
+            out_[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        out_ += bytes;
+    }
+
+    std::uint8_t* out_;
 };
 
 /** Bounds-checked little-endian reader over a byte span. */
@@ -99,6 +122,27 @@ class Reader
         return true;
     }
 
+    /** Fill @p values (already sized) with the next doubles. */
+    bool
+    f64s(std::vector<double>& values)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            const std::size_t bytes = values.size() * sizeof(double);
+            if (size_ - pos_ < bytes)
+                return false;
+            if (bytes > 0)
+                std::memcpy(values.data(), data_ + pos_, bytes);
+            pos_ += bytes;
+            return true;
+        } else {
+            for (double& v : values) {
+                if (!f64(v))
+                    return false;
+            }
+            return true;
+        }
+    }
+
     bool
     done() const
     {
@@ -111,24 +155,20 @@ class Reader
     std::size_t pos_ = 0;
 };
 
-/** Prepend the u32 length of everything after the prefix. */
-void
-patchLengthPrefix(std::vector<std::uint8_t>& frame)
-{
-    const auto payload =
-        static_cast<std::uint32_t>(frame.size() - 4);
-    for (int i = 0; i < 4; ++i)
-        frame[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(payload >> (8 * i));
-}
+/** Payload bytes of a request / response before its doubles. */
+constexpr std::size_t kRequestFixedBytes = 44;
+constexpr std::size_t kResponseFixedBytes = 48;
 
 } // namespace
 
 std::vector<std::uint8_t>
 encodeRequest(const Request& request)
 {
-    std::vector<std::uint8_t> frame(4, 0);
-    Writer w(frame);
+    const std::size_t payload =
+        kRequestFixedBytes + 8 * request.params.size();
+    std::vector<std::uint8_t> frame(4 + payload);
+    Writer w(frame.data());
+    w.u32(static_cast<std::uint32_t>(payload));
     w.u32(kRequestMagic);
     w.u16(kProtocolVersion);
     w.u16(static_cast<std::uint16_t>(request.opcode));
@@ -138,17 +178,18 @@ encodeRequest(const Request& request)
     w.u32(request.sampleCount);
     w.f64(request.threshold);
     w.u32(static_cast<std::uint32_t>(request.params.size()));
-    for (double p : request.params)
-        w.f64(p);
-    patchLengthPrefix(frame);
+    w.f64s(request.params);
     return frame;
 }
 
 std::vector<std::uint8_t>
 encodeResponse(const Response& response)
 {
-    std::vector<std::uint8_t> frame(4, 0);
-    Writer w(frame);
+    const std::size_t payload =
+        kResponseFixedBytes + 8 * response.samples.size();
+    std::vector<std::uint8_t> frame(4 + payload);
+    Writer w(frame.data());
+    w.u32(static_cast<std::uint32_t>(payload));
     w.u32(kResponseMagic);
     w.u16(kProtocolVersion);
     w.u16(static_cast<std::uint16_t>(response.status));
@@ -159,9 +200,7 @@ encodeResponse(const Response& response)
     w.f64(response.value);
     w.u64(response.samplesUsed);
     w.u32(static_cast<std::uint32_t>(response.samples.size()));
-    for (double s : response.samples)
-        w.f64(s);
-    patchLengthPrefix(frame);
+    w.f64s(response.samples);
     return frame;
 }
 
@@ -202,10 +241,8 @@ decodeRequest(const std::uint8_t* data, std::size_t size, Request& out)
         return Status::BadRequest;
     }
     out.params.resize(paramCount);
-    for (std::uint32_t i = 0; i < paramCount; ++i) {
-        if (!r.f64(out.params[i]))
-            return Status::Malformed;
-    }
+    if (!r.f64s(out.params))
+        return Status::Malformed;
     // Trailing bytes mean the sender's framing is out of step with
     // the payload it wrote; treat that as malformed rather than
     // silently ignoring the residue.
@@ -244,11 +281,7 @@ decodeResponse(const std::uint8_t* data, std::size_t size,
     if (sampleCount > kMaxSamplesPerReply)
         return false;
     out.samples.resize(sampleCount);
-    for (std::uint32_t i = 0; i < sampleCount; ++i) {
-        if (!r.f64(out.samples[i]))
-            return false;
-    }
-    return r.done();
+    return r.f64s(out.samples) && r.done();
 }
 
 } // namespace serve

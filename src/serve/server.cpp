@@ -42,6 +42,49 @@ hashModelParams(std::uint32_t modelId, const std::vector<double>& params)
     return h;
 }
 
+/** Bitwise params equality, the relation hashModelParams respects. */
+bool
+sameParams(const std::vector<double>& a, const std::vector<double>& b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](double x, double y) {
+                          return std::bit_cast<std::uint64_t>(x)
+                                 == std::bit_cast<std::uint64_t>(y);
+                      });
+}
+
+/** Fold @p from into @p into: counters add, high-water marks max. */
+void
+accumulate(ServerStats& into, const ServerStats& from)
+{
+    into.received += from.received;
+    into.admitted += from.admitted;
+    into.rejectedOverload += from.rejectedOverload;
+    into.malformed += from.malformed;
+    into.badRequest += from.badRequest;
+    into.unknownModel += from.unknownModel;
+    into.shuttingDown += from.shuttingDown;
+    into.queuePeak = std::max(into.queuePeak, from.queuePeak);
+    into.executed += from.executed;
+    into.batches += from.batches;
+    into.coalescedRequests += from.coalescedRequests;
+    into.batchOccupancyMax =
+        std::max(into.batchOccupancyMax, from.batchOccupancyMax);
+    into.samplesDrawn += from.samplesDrawn;
+    into.modelBuilds += from.modelBuilds;
+    into.prQueries += from.prQueries;
+    into.expectedValueQueries += from.expectedValueQueries;
+    into.takeSamplesQueries += from.takeSamplesQueries;
+    into.adviseQueries += from.adviseQueries;
+    for (const auto& [tenantId, tenant] : from.tenants) {
+        TenantStats& sum = into.tenants[tenantId];
+        sum.received += tenant.received;
+        sum.executed += tenant.executed;
+        sum.rejected += tenant.rejected;
+        sum.samplesUsed += tenant.samplesUsed;
+    }
+}
+
 bool
 allFinite(const std::vector<double>& params)
 {
@@ -148,6 +191,12 @@ validateRequest(const Request& request)
 
 } // namespace
 
+bool
+UncertainServer::InstanceKey::operator==(const InstanceKey& other) const
+{
+    return modelId == other.modelId && sameParams(params, other.params);
+}
+
 std::size_t
 UncertainServer::InstanceKeyHash::operator()(const InstanceKey& key) const
 {
@@ -168,6 +217,8 @@ UncertainServer::UncertainServer(ServerOptions options)
                       "serve: workers must be >= 1");
     registry_.emplace(kModelGaussianChain, buildGaussianChain);
     registry_.emplace(kModelGpsSpeed, buildGpsSpeed);
+    for (std::size_t i = 0; i <= options_.workers; ++i)
+        shards_.push_back(std::make_unique<StatsShard>());
 }
 
 UncertainServer::~UncertainServer()
@@ -183,8 +234,10 @@ UncertainServer::start()
         return;
     started_ = true;
     workers_.reserve(options_.workers);
-    for (std::size_t i = 0; i < options_.workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    for (std::size_t i = 0; i < options_.workers; ++i) {
+        StatsShard& shard = *shards_[i];
+        workers_.emplace_back([this, &shard] { workerLoop(shard); });
+    }
 }
 
 void
@@ -213,7 +266,7 @@ UncertainServer::stop()
         refusal.opcode = pending.request.opcode;
         refusal.tenantId = pending.request.tenantId;
         refusal.requestId = pending.request.requestId;
-        reply(pending, std::move(refusal));
+        reply(*shards_.back(), pending, std::move(refusal));
     }
 }
 
@@ -242,20 +295,25 @@ UncertainServer::registerModel(std::uint32_t id, ModelBuilder builder)
 
 void
 UncertainServer::rejectNow(const Request& request, const ReplySink& sink,
-                           Status status, Clock::time_point)
+                           Status status, bool countTenantReceived)
 {
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
+        ServerStats& stats = refusalStats_;
+        TenantStats& tenant = stats.tenants[request.tenantId];
+        ++stats.received;
+        if (countTenantReceived)
+            ++tenant.received;
         switch (status) {
-          case Status::Overloaded: ++stats_.rejectedOverload; break;
+          case Status::Overloaded: ++stats.rejectedOverload; break;
           case Status::Malformed:
-          case Status::TooLarge: ++stats_.malformed; break;
-          case Status::BadRequest: ++stats_.badRequest; break;
-          case Status::UnknownModel: ++stats_.unknownModel; break;
-          case Status::ShuttingDown: ++stats_.shuttingDown; break;
+          case Status::TooLarge: ++stats.malformed; break;
+          case Status::BadRequest: ++stats.badRequest; break;
+          case Status::UnknownModel: ++stats.unknownModel; break;
+          case Status::ShuttingDown: ++stats.shuttingDown; break;
           case Status::Ok: break;
         }
-        ++stats_.tenants[request.tenantId].rejected;
+        ++tenant.rejected;
     }
     Response refusal;
     refusal.status = status;
@@ -270,14 +328,9 @@ void
 UncertainServer::submit(Request request, ReplySink sink)
 {
     const auto now = Clock::now();
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.received;
-        ++stats_.tenants[request.tenantId].received;
-    }
     const Status semantic = validateRequest(request);
     if (semantic != Status::Ok) {
-        rejectNow(request, sink, semantic, now);
+        rejectNow(request, sink, semantic);
         return;
     }
     bool known;
@@ -286,14 +339,14 @@ UncertainServer::submit(Request request, ReplySink sink)
         known = registry_.find(request.modelId) != registry_.end();
     }
     if (!known) {
-        rejectNow(request, sink, Status::UnknownModel, now);
+        rejectNow(request, sink, Status::UnknownModel);
         return;
     }
 
-    // Admission: bounded queue, reject-with-backpressure. The reject
-    // reply is sent outside the queue lock.
+    // Admission: bounded queue, reject-with-backpressure. An admitted
+    // request is counted under the queue lock this section takes
+    // anyway; the reject reply is sent outside it.
     Status admission = Status::Ok;
-    std::size_t depth = 0;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         if (stopping_) {
@@ -301,20 +354,19 @@ UncertainServer::submit(Request request, ReplySink sink)
         } else if (queue_.size() >= options_.queueCapacity) {
             admission = Status::Overloaded;
         } else {
+            ServerStats& stats = admissionStats_;
+            ++stats.received;
+            ++stats.tenants[request.tenantId].received;
+            ++stats.admitted;
             queue_.push_back(
                 Pending{std::move(request), std::move(sink), now});
-            depth = queue_.size();
+            stats.queuePeak =
+                std::max<std::uint64_t>(stats.queuePeak, queue_.size());
         }
     }
     if (admission != Status::Ok) {
-        rejectNow(request, sink, admission, now);
+        rejectNow(request, sink, admission);
         return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.admitted;
-        stats_.queuePeak =
-            std::max<std::uint64_t>(stats_.queuePeak, depth);
     }
     queueCv_.notify_one();
 }
@@ -324,30 +376,21 @@ UncertainServer::submitFrame(const std::uint8_t* payload,
                              std::size_t size, ReplySink sink)
 {
     if (size > kMaxRequestFrameBytes) {
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            ++stats_.received;
-        }
-        Request anonymous;
-        rejectNow(anonymous, sink, Status::TooLarge, Clock::now());
+        rejectNow(Request{}, sink, Status::TooLarge,
+                  /*countTenantReceived=*/false);
         return;
     }
     Request request;
     const Status status = decodeRequest(payload, size, request);
     if (status != Status::Ok) {
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            ++stats_.received;
-            ++stats_.tenants[request.tenantId].received;
-        }
-        rejectNow(request, sink, status, Clock::now());
+        rejectNow(request, sink, status);
         return;
     }
     submit(std::move(request), std::move(sink));
 }
 
 std::shared_ptr<const ModelInstance>
-UncertainServer::instanceFor(std::uint32_t modelId,
+UncertainServer::instanceFor(StatsShard& shard, std::uint32_t modelId,
                              const std::vector<double>& params,
                              bool& badParams)
 {
@@ -385,11 +428,11 @@ UncertainServer::instanceFor(std::uint32_t modelId,
         return nullptr;
     }
 
-    std::lock_guard<std::mutex> lock(registryMutex_);
     {
-        std::lock_guard<std::mutex> statsLock(statsMutex_);
-        ++stats_.modelBuilds;
+        std::lock_guard<std::mutex> statsLock(shard.mutex);
+        ++shard.stats.modelBuilds;
     }
+    std::lock_guard<std::mutex> lock(registryMutex_);
     auto cached = instances_.find(key);
     if (cached != instances_.end())
         return cached->second;
@@ -400,10 +443,18 @@ UncertainServer::instanceFor(std::uint32_t modelId,
 }
 
 void
-UncertainServer::workerLoop()
+UncertainServer::workerLoop(StatsShard& shard)
 {
     core::BatchSampler sampler(options_.batch, planCache_);
     std::vector<Pending> batch;
+    const auto take = [&] {
+        // Move as much of the queue as the batch has room for, under
+        // the lock the caller holds.
+        while (!queue_.empty() && batch.size() < options_.maxBatch) {
+            batch.push_back(std::move(queue_.front()));
+            queue_.pop_front();
+        }
+    };
     for (;;) {
         batch.clear();
         {
@@ -413,91 +464,88 @@ UncertainServer::workerLoop()
             });
             if (stopping_)
                 return; // stop() refuses the backlog
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
+            take();
         }
 
         // Gather more work. The window bounds how long a LONE request
         // is held waiting for a companion; once the batch has peers
-        // we drain whatever is queued and execute immediately —
+        // we take whatever is queued and execute immediately —
         // replies stream out per member, so under sustained load the
         // next cohort queues up while this one runs and batches stay
         // full without ever stalling on the window (natural
         // batching). Waiting out the window with a non-trivial batch
         // would add pure latency: the clients it came from are
         // blocked on these very replies.
-        const auto deadline =
-            batch.front().enqueued
-            + std::chrono::microseconds(options_.batchWindowMicros);
-        const auto gatherUntil =
-            std::max(deadline,
-                     Clock::now()); // never wait negative
-        while (batch.size() < options_.maxBatch) {
+        if (batch.size() == 1 && options_.maxBatch > 1) {
+            const auto deadline =
+                batch.front().enqueued
+                + std::chrono::microseconds(options_.batchWindowMicros);
             std::unique_lock<std::mutex> lock(queueMutex_);
-            if (queue_.empty()) {
-                if (stopping_ || batch.size() > 1)
-                    break;
-                const bool woke = queueCv_.wait_until(
-                    lock, gatherUntil, [this] {
-                        return stopping_ || !queue_.empty();
-                    });
-                if (!woke || stopping_ || queue_.empty())
-                    break;
+            if (queueCv_.wait_until(lock, deadline, [this] {
+                    return stopping_ || !queue_.empty();
+                })
+                && !stopping_) {
+                take();
             }
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
         }
 
-        executeBatch(sampler, batch);
+        executeBatch(sampler, shard, batch);
     }
 }
 
 void
 UncertainServer::executeBatch(core::BatchSampler& sampler,
+                              StatsShard& shard,
                               std::vector<Pending>& batch)
 {
-    // Group by model instance, order of first appearance. Requests
-    // with distinct params build/fetch distinct instances and so land
-    // in distinct groups; everything in one group executes against
-    // the same plan-cache entries with one resolution per root.
+    // Group by bitwise (modelId, params), order of first appearance,
+    // and resolve each group's model instance once: one registry
+    // lock and one params hash per group, not per request. The key
+    // relation is InstanceKey's, so a group is exactly the set of
+    // requests the instance cache would answer with one instance.
     struct Group
     {
-        std::shared_ptr<const ModelInstance> instance;
         std::vector<std::size_t> members;
+        std::shared_ptr<const ModelInstance> instance;
     };
     std::vector<Group> groups;
-    std::vector<Status> refusals(batch.size(), Status::Ok);
-
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Request& request = batch[i].request;
-        bool badParams = false;
-        auto instance =
-            instanceFor(request.modelId, request.params, badParams);
-        if (instance == nullptr) {
-            refusals[i] = badParams ? Status::BadRequest
-                                    : Status::UnknownModel;
-            continue;
-        }
         auto group = std::find_if(
             groups.begin(), groups.end(), [&](const Group& g) {
-                return g.instance.get() == instance.get();
+                const Request& first = batch[g.members.front()].request;
+                return first.modelId == request.modelId
+                       && sameParams(first.params, request.params);
             });
-        if (group == groups.end()) {
-            groups.push_back(Group{std::move(instance), {i}});
-        } else {
+        if (group == groups.end())
+            groups.push_back(Group{{i}, nullptr});
+        else
             group->members.push_back(i);
+    }
+
+    std::vector<Status> refusals(batch.size(), Status::Ok);
+    std::uint64_t coalesced = 0;
+    for (Group& group : groups) {
+        const Request& request = batch[group.members.front()].request;
+        bool badParams = false;
+        group.instance =
+            instanceFor(shard, request.modelId, request.params, badParams);
+        if (group.instance == nullptr) {
+            for (std::size_t index : group.members) {
+                refusals[index] = badParams ? Status::BadRequest
+                                            : Status::UnknownModel;
+            }
+        } else if (group.members.size() > 1) {
+            coalesced += group.members.size();
         }
     }
 
     {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.batches;
-        stats_.batchOccupancyMax = std::max<std::uint64_t>(
-            stats_.batchOccupancyMax, batch.size());
-        for (const auto& group : groups) {
-            if (group.members.size() > 1)
-                stats_.coalescedRequests += group.members.size();
-        }
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        ++shard.stats.batches;
+        shard.stats.batchOccupancyMax = std::max<std::uint64_t>(
+            shard.stats.batchOccupancyMax, batch.size());
+        shard.stats.coalescedRequests += coalesced;
     }
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -508,12 +556,14 @@ UncertainServer::executeBatch(core::BatchSampler& sampler,
         refusal.opcode = batch[i].request.opcode;
         refusal.tenantId = batch[i].request.tenantId;
         refusal.requestId = batch[i].request.requestId;
-        reply(batch[i], std::move(refusal));
+        reply(shard, batch[i], std::move(refusal));
     }
 
-    for (const auto& group : groups) {
+    for (const Group& group : groups) {
+        if (group.instance == nullptr)
+            continue;
         for (std::size_t index : group.members) {
-            reply(batch[index],
+            reply(shard, batch[index],
                   execute(sampler, batch[index].request,
                           *group.instance));
         }
@@ -626,37 +676,41 @@ UncertainServer::execute(core::BatchSampler& sampler,
 }
 
 void
-UncertainServer::reply(const Pending& pending, Response response)
+UncertainServer::reply(StatsShard& shard, const Pending& pending,
+                       Response response)
 {
     const auto now = Clock::now();
     {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        auto& tenant = stats_.tenants[pending.request.tenantId];
+        // Counted before the sink fires: a reply is never visible
+        // before serverStats() includes it.
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        ServerStats& stats = shard.stats;
+        auto& tenant = stats.tenants[pending.request.tenantId];
         if (response.status == Status::Ok) {
-            ++stats_.executed;
+            ++stats.executed;
             ++tenant.executed;
-            stats_.samplesDrawn += response.samplesUsed;
+            stats.samplesDrawn += response.samplesUsed;
             tenant.samplesUsed += response.samplesUsed;
             switch (response.opcode) {
-              case Opcode::Pr: ++stats_.prQueries; break;
+              case Opcode::Pr: ++stats.prQueries; break;
               case Opcode::ExpectedValue:
-                ++stats_.expectedValueQueries;
+                ++stats.expectedValueQueries;
                 break;
               case Opcode::TakeSamples:
-                ++stats_.takeSamplesQueries;
+                ++stats.takeSamplesQueries;
                 break;
-              case Opcode::Advise: ++stats_.adviseQueries; break;
+              case Opcode::Advise: ++stats.adviseQueries; break;
             }
-            latency_.record(static_cast<std::uint64_t>(
+            shard.latency.record(static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::microseconds>(
                     now - pending.enqueued)
                     .count()));
         } else {
             ++tenant.rejected;
             switch (response.status) {
-              case Status::BadRequest: ++stats_.badRequest; break;
-              case Status::UnknownModel: ++stats_.unknownModel; break;
-              case Status::ShuttingDown: ++stats_.shuttingDown; break;
+              case Status::BadRequest: ++stats.badRequest; break;
+              case Status::UnknownModel: ++stats.unknownModel; break;
+              case Status::ShuttingDown: ++stats.shuttingDown; break;
               default: break;
             }
         }
@@ -668,11 +722,27 @@ UncertainServer::reply(const Pending& pending, Response response)
 ServerStats
 UncertainServer::stats() const
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    ServerStats snapshot = stats_;
-    snapshot.latencySamples = latency_.count();
-    snapshot.p50LatencyMicros = latency_.quantile(0.50);
-    snapshot.p99LatencyMicros = latency_.quantile(0.99);
+    // Shards first, admissions last: every reply a shard has counted
+    // was admitted earlier, so a snapshot never shows more executed
+    // than received.
+    ServerStats snapshot;
+    LatencyHistogram latency;
+    for (const auto& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard->mutex);
+        accumulate(snapshot, shard->stats);
+        latency.merge(shard->latency);
+    }
+    {
+        std::lock_guard<std::mutex> lock(statsMutex_);
+        accumulate(snapshot, refusalStats_);
+    }
+    {
+        std::lock_guard<std::mutex> lock(queueMutex_);
+        accumulate(snapshot, admissionStats_);
+    }
+    snapshot.latencySamples = latency.count();
+    snapshot.p50LatencyMicros = latency.quantile(0.50);
+    snapshot.p99LatencyMicros = latency.quantile(0.99);
     return snapshot;
 }
 

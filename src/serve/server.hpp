@@ -11,10 +11,13 @@
  *          -> reply sinks
  *
  * Coalescing: a worker drains queued requests (up to maxBatch) and
- * groups the gathered batch by model instance, so every request in a
- * group executes against the same plan-cache entry with one plan
- * resolution and a warm workspace — the columnar block machinery of
+ * groups the gathered batch by bitwise (modelId, params), resolving
+ * each group's model instance once. Every request in a group then
+ * executes against the same instance, and so the same plan-cache
+ * entries, with a warm workspace — the columnar block machinery of
  * core/batch.hpp amortized across requests instead of within one.
+ * (Each request still looks its plans up in the cache; after the
+ * group's first request those lookups are hits.)
  * Batches form naturally: replies stream out per member, so under
  * load the next cohort queues up while the current one executes.
  * ServerOptions::batchWindowMicros only governs a LONE request: it is
@@ -45,7 +48,13 @@
  * planStats() / planReport() inspect API for the serving layer —
  * admission and execution counters, batch occupancy, and p50/p99
  * reply latency from a log-bucketed histogram, plus per-tenant
- * breakdowns.
+ * breakdowns. The counters live where they are written, so the hot
+ * path shares no stats lock: submit() counts admissions under the
+ * queue lock it already holds, each worker counts its batches and
+ * replies in its own shard, and only the cold refusal paths share
+ * one lock. serverStats() merges them on read. A reply is counted
+ * before its sink fires, so a sink that reads serverStats() already
+ * sees it.
  */
 
 #ifndef UNCERTAIN_SERVE_SERVER_HPP
@@ -170,21 +179,34 @@ constexpr std::uint32_t kModelGpsSpeed = 2;
 constexpr double kGaussianChainStep = 0.125;
 
 /**
- * Bounded log-bucket latency histogram: 4 sub-buckets per octave of
- * microseconds, 256 buckets total (covers past an hour), constant
- * memory, ~19% worst-case quantile error — plenty for p50/p99
- * reporting.
+ * Bounded log-bucket latency histogram over whole microseconds: values
+ * below 64 get a bucket each, every octave above is split into 64
+ * equal sub-buckets, and the buckets cover all of uint64. Constant
+ * memory; a quantile reads back the middle of its bucket, so its
+ * error is at most half a sub-bucket (< 0.8% of the value).
  */
 class LatencyHistogram
 {
   public:
-    static constexpr std::size_t kBuckets = 256;
+    static constexpr int kSubBits = 6;
+    static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBits;
+    static constexpr std::size_t kBuckets =
+        (64 - kSubBits + 1) * kSubBuckets;
 
     void
     record(std::uint64_t micros)
     {
         ++buckets_[bucketOf(micros)];
         ++count_;
+    }
+
+    /** Add every sample of @p other (histograms of separate shards). */
+    void
+    merge(const LatencyHistogram& other)
+    {
+        for (std::size_t i = 0; i < kBuckets; ++i)
+            buckets_[i] += other.buckets_[i];
+        count_ += other.count_;
     }
 
     std::uint64_t count() const { return count_; }
@@ -209,27 +231,28 @@ class LatencyHistogram
     static std::size_t
     bucketOf(std::uint64_t micros)
     {
-        if (micros < 4)
+        if (micros < kSubBuckets)
             return static_cast<std::size_t>(micros);
-        const int msb = std::bit_width(micros) - 1; // >= 2
-        const std::size_t sub = (micros >> (msb - 2)) & 0x3u;
-        const std::size_t index =
-            (static_cast<std::size_t>(msb - 1) << 2) | sub;
-        return index < kBuckets ? index : kBuckets - 1;
+        const int msb = std::bit_width(micros) - 1; // >= kSubBits
+        const std::size_t sub =
+            (micros >> (msb - kSubBits)) & (kSubBuckets - 1);
+        return (static_cast<std::size_t>(msb - kSubBits + 1) << kSubBits)
+               | sub;
     }
 
+    /** Middle of the whole microseconds a bucket holds. */
     static double
     bucketMidpoint(std::size_t index)
     {
-        if (index < 4)
+        if (index < kSubBuckets)
             return static_cast<double>(index);
-        const int msb = static_cast<int>(index / 4) + 1;
-        const std::uint64_t sub = index % 4;
+        const int msb = static_cast<int>(index >> kSubBits) + kSubBits - 1;
+        const std::uint64_t sub = index & (kSubBuckets - 1);
         const std::uint64_t lower =
-            (std::uint64_t{1} << msb) | (sub << (msb - 2));
-        const std::uint64_t width = std::uint64_t{1} << (msb - 2);
+            (std::uint64_t{1} << msb) | (sub << (msb - kSubBits));
+        const std::uint64_t width = std::uint64_t{1} << (msb - kSubBits);
         return static_cast<double>(lower)
-               + static_cast<double>(width) / 2.0;
+               + static_cast<double>(width - 1) / 2.0;
     }
 
     std::array<std::uint64_t, kBuckets> buckets_{};
@@ -342,7 +365,8 @@ class UncertainServer
     void submitFrame(const std::uint8_t* payload, std::size_t size,
                      ReplySink sink);
 
-    /** Counter snapshot (thread-safe). */
+    /** Counter snapshot (thread-safe): merges the admission, refusal
+     *  and per-worker counters on read. */
     ServerStats stats() const;
 
   private:
@@ -361,7 +385,9 @@ class UncertainServer
         std::uint32_t modelId;
         std::vector<double> params;
 
-        bool operator==(const InstanceKey&) const = default;
+        /** Bitwise on params, the relation the hash respects: +0.0
+         *  and -0.0 are distinct keys, and a NaN equals itself. */
+        bool operator==(const InstanceKey& other) const;
     };
 
     struct InstanceKeyHash
@@ -369,17 +395,29 @@ class UncertainServer
         std::size_t operator()(const InstanceKey& key) const;
     };
 
-    void workerLoop();
-    void executeBatch(core::BatchSampler& sampler,
+    /**
+     * The counters one writer owns: a worker (or stop(), for the
+     * backlog it refuses). Only stats() ever contends for the mutex.
+     */
+    struct StatsShard
+    {
+        std::mutex mutex;
+        ServerStats stats;
+        LatencyHistogram latency;
+    };
+
+    void workerLoop(StatsShard& shard);
+    void executeBatch(core::BatchSampler& sampler, StatsShard& shard,
                       std::vector<Pending>& batch);
     Response execute(core::BatchSampler& sampler, const Request& req,
                      const ModelInstance& instance);
     std::shared_ptr<const ModelInstance>
-    instanceFor(std::uint32_t modelId,
+    instanceFor(StatsShard& shard, std::uint32_t modelId,
                 const std::vector<double>& params, bool& badParams);
-    void reply(const Pending& pending, Response response);
+    void reply(StatsShard& shard, const Pending& pending,
+               Response response);
     void rejectNow(const Request& request, const ReplySink& sink,
-                   Status status, Clock::time_point enqueued);
+                   Status status, bool countTenantReceived = true);
 
     ServerOptions options_;
     Rng rootRng_; //!< Rng(options_.seed); only ever split, never advanced
@@ -391,6 +429,9 @@ class UncertainServer
     bool stopping_ = false;
     bool started_ = false;
     std::vector<std::thread> workers_;
+    /** received / admitted / queuePeak of admitted requests, guarded
+     *  by queueMutex_. */
+    ServerStats admissionStats_;
 
     mutable std::mutex registryMutex_;
     std::unordered_map<std::uint32_t, ModelBuilder> registry_;
@@ -399,9 +440,12 @@ class UncertainServer
                        InstanceKeyHash>
         instances_;
 
+    /** One shard per worker, then the control shard of stop(). */
+    std::vector<std::unique_ptr<StatsShard>> shards_;
+
+    /** Refusals decided at submit (the cold paths). */
     mutable std::mutex statsMutex_;
-    ServerStats stats_;
-    LatencyHistogram latency_;
+    ServerStats refusalStats_;
 };
 
 /** Counter snapshot, mirroring planStats(). */

@@ -41,31 +41,41 @@ LoopbackClient::sendRaw(const std::uint8_t* payload, std::size_t size)
     std::shared_ptr<Inbox> inbox = inbox_;
     server_->submitFrame(payload, size, [inbox](const Response& response) {
         auto frame = encodeResponse(response);
-        std::lock_guard<std::mutex> lock(inbox->mutex);
-        if (inbox->capacity > 0
-            && inbox->frames.size() >= inbox->capacity) {
-            ++inbox->dropped;
-            return;
+        bool wasEmpty;
+        {
+            std::lock_guard<std::mutex> lock(inbox->mutex);
+            if (inbox->capacity > 0
+                && inbox->frames.size() + inbox->taken.load()
+                       >= inbox->capacity) {
+                ++inbox->dropped;
+                return;
+            }
+            wasEmpty = inbox->frames.empty();
+            inbox->frames.push_back(std::move(frame));
         }
-        inbox->frames.push_back(std::move(frame));
-        inbox->cv.notify_one();
+        // A receiver only ever waits on an empty inbox, so only the
+        // frame that ends the emptiness needs to wake it.
+        if (wasEmpty)
+            inbox->cv.notify_one();
     });
 }
 
 bool
 LoopbackClient::receive(Response& out, std::chrono::milliseconds timeout)
 {
-    std::vector<std::uint8_t> frame;
-    {
+    if (received_.empty()) {
         std::unique_lock<std::mutex> lock(inbox_->mutex);
         if (!inbox_->cv.wait_for(lock, timeout, [this] {
                 return !inbox_->frames.empty();
             })) {
             return false;
         }
-        frame = std::move(inbox_->frames.front());
-        inbox_->frames.pop_front();
+        inbox_->taken.store(inbox_->frames.size());
+        received_.swap(inbox_->frames);
     }
+    const std::vector<std::uint8_t> frame = std::move(received_.front());
+    received_.pop_front();
+    inbox_->taken.fetch_sub(1);
     return frame.size() >= 4
            && decodeResponse(frame.data() + 4, frame.size() - 4, out);
 }
@@ -93,7 +103,7 @@ std::size_t
 LoopbackClient::pendingReplies() const
 {
     std::lock_guard<std::mutex> lock(inbox_->mutex);
-    return inbox_->frames.size();
+    return inbox_->frames.size() + inbox_->taken.load();
 }
 
 // ----------------------------------------------------------------------
@@ -202,14 +212,16 @@ TcpTransport::stop()
 {
     if (stopping_.exchange(true))
         return;
-    if (listenFd_ >= 0) {
-        // Shut the listener down so accept() returns; close joins it.
+    // Shut the listener down so accept() returns; the descriptor is
+    // closed only once the accept thread, which reads it, has joined.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
     std::vector<std::shared_ptr<Connection>> connections;
     {
         std::lock_guard<std::mutex> lock(connectionsMutex_);

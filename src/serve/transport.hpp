@@ -38,9 +38,16 @@ namespace serve {
 /**
  * In-process client: submits encoded frames straight into the
  * server's admission path and collects encoded replies in a private
- * inbox. Thread-safe; many clients may share one server. The inbox
- * is held by shared_ptr, so replies arriving after the client is
- * destroyed land harmlessly instead of dangling.
+ * inbox. send() may be called from any thread; receive() and call()
+ * serve one consuming thread at a time. Many clients may share one
+ * server. The inbox is held by shared_ptr, so replies arriving after
+ * the client is destroyed land harmlessly instead of dangling.
+ *
+ * A receive() that finds its own buffer empty takes every frame the
+ * reply sinks have queued under one lock, then serves later receives
+ * from that buffer without touching the shared lock. Frames taken
+ * but not yet read still count toward the inbox capacity and
+ * pendingReplies().
  */
 class LoopbackClient
 {
@@ -77,21 +84,26 @@ class LoopbackClient
     /** Replies dropped by a full bounded inbox. */
     std::uint64_t dropped() const;
 
-    /** Replies currently buffered. */
+    /** Replies currently buffered (queued or taken, not yet read). */
     std::size_t pendingReplies() const;
 
   private:
+    using Frames = std::deque<std::vector<std::uint8_t>>;
+
     struct Inbox
     {
         std::mutex mutex;
         std::condition_variable cv;
-        std::deque<std::vector<std::uint8_t>> frames;
+        Frames frames; //!< queued by reply sinks
         std::size_t capacity = 0;
         std::uint64_t dropped = 0;
+        /** Frames the receiver has taken but not yet read. */
+        std::atomic<std::size_t> taken{0};
     };
 
     UncertainServer* server_;
     std::shared_ptr<Inbox> inbox_;
+    Frames received_; //!< the receiver's side; no lock
 };
 
 /**

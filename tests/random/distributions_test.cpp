@@ -150,7 +150,7 @@ TEST_P(DistributionProperty, DensityIntegratesToOne)
     EXPECT_NEAR(total, 1.0, 1e-3) << dist->name();
 }
 
-TEST_P(DistributionProperty, LogPdfIsLogOfPdf)
+TEST_P(DistributionProperty, LogPdfAgreesWithLogOfPdfAtSamples)
 {
     const DistCase& c = GetParam();
     if (!c.hasDensityIntegral)

@@ -5,8 +5,11 @@
  * clients across multiple tenants against a multi-worker server, with
  * the concurrent replies checked bit-for-bit against a quiet
  * single-worker replay — arrival interleaving and worker scheduling
- * must never leak into results. A second test hammers submit() while
- * the server stops and insists every request is answered.
+ * must never leak into results. A second test checks that the
+ * counters, which the server keeps per worker and merges on read,
+ * add up exactly under concurrent accepted and refused traffic. A
+ * third hammers submit() while the server stops and insists every
+ * request is answered.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -126,6 +130,153 @@ TEST(ServeThreading, SixteenClientsMatchSingleThreadedReplay)
         perTenantExecuted += slice.executed;
     EXPECT_EQ(perTenantExecuted, stats.executed);
     EXPECT_EQ(stats.latencySamples, stats.executed);
+}
+
+/** How a request of the counter test is answered. */
+enum class Fate
+{
+    Pr,
+    ExpectedValue,
+    TakeSamples,
+    Advise,
+    BadThreshold, //!< refused at submit
+    UnknownModel, //!< refused at submit
+    BadParams,    //!< admitted, refused by the worker's builder
+    Truncated,    //!< undecodable frame, ids still recoverable
+    Count
+};
+
+TEST(ServeThreading, MergedCountersAreExactUnderConcurrency)
+{
+    ServerOptions options;
+    options.seed = sweptServerSeed(53);
+    options.workers = 2;
+    options.maxBatch = 8;
+    options.batchWindowMicros = 300;
+    UncertainServer server(options);
+    server.start();
+
+    constexpr std::uint64_t kClients = 16;
+    constexpr std::uint64_t kRounds = 3;
+    constexpr std::uint64_t kFates = static_cast<std::uint64_t>(Fate::Count);
+    constexpr std::uint64_t kPerClient = kRounds * kFates;
+
+    std::vector<std::uint64_t> samplesUsed(kClients, 0);
+    std::atomic<std::uint64_t> wrongStatus{0};
+    std::atomic<std::uint64_t> uncountedInSink{0};
+    {
+        std::vector<std::thread> clients;
+        for (std::uint64_t c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+                const std::uint64_t tenant = 100 + c;
+                for (std::uint64_t id = 0; id < kPerClient; ++id) {
+                    const auto fate = static_cast<Fate>(id % kFates);
+                    Request request = stressRequest(tenant, id);
+                    request.sampleCount = 64;
+                    switch (fate) {
+                      case Fate::Pr: request.opcode = Opcode::Pr; break;
+                      case Fate::ExpectedValue:
+                        request.opcode = Opcode::ExpectedValue;
+                        break;
+                      case Fate::TakeSamples:
+                        request.opcode = Opcode::TakeSamples;
+                        break;
+                      case Fate::Advise:
+                        request.opcode = Opcode::Advise;
+                        break;
+                      case Fate::BadThreshold:
+                        request.opcode = Opcode::Pr;
+                        request.threshold = 1.5;
+                        break;
+                      case Fate::UnknownModel:
+                        request.modelId = 777;
+                        break;
+                      case Fate::BadParams:
+                        request.params[1] = -1.0; // sigma <= 0
+                        break;
+                      default: break;
+                    }
+                    std::vector<std::uint8_t> frame =
+                        serve::encodeRequest(request);
+                    if (fate == Fate::Truncated)
+                        frame.resize(frame.size() - 5);
+
+                    // This client alone uses its tenant, and it waits
+                    // for each reply before sending the next: when the
+                    // sink fires, the tenant's books must already hold
+                    // exactly the replies so far, this one included.
+                    // The sink shares the promise, which set_value may
+                    // still touch after the client has the reply.
+                    auto replied = std::make_shared<std::promise<Response>>();
+                    std::future<Response> reply = replied->get_future();
+                    server.submitFrame(
+                        frame.data() + 4, frame.size() - 4,
+                        [&, replied, tenant, id](const Response& response) {
+                            const serve::ServerStats stats =
+                                serve::serverStats(server);
+                            const auto it = stats.tenants.find(tenant);
+                            if (it == stats.tenants.end()
+                                || it->second.executed
+                                           + it->second.rejected
+                                       != id + 1) {
+                                ++uncountedInSink;
+                            }
+                            replied->set_value(response);
+                        });
+                    const Response response = reply.get();
+                    const bool ok = fate < Fate::BadThreshold;
+                    const Status expected =
+                        ok ? Status::Ok
+                        : fate == Fate::UnknownModel ? Status::UnknownModel
+                        : fate == Fate::Truncated    ? Status::Malformed
+                                                     : Status::BadRequest;
+                    if (response.status != expected
+                        || response.tenantId != tenant
+                        || response.requestId != id) {
+                        ++wrongStatus;
+                    }
+                    if (ok)
+                        samplesUsed[c] += response.samplesUsed;
+                }
+            });
+        }
+        for (std::thread& client : clients)
+            client.join();
+    }
+    EXPECT_EQ(wrongStatus.load(), 0u);
+    EXPECT_EQ(uncountedInSink.load(), 0u);
+
+    const serve::ServerStats stats = serve::serverStats(server);
+    const std::uint64_t each = kClients * kRounds; // requests per fate
+    EXPECT_EQ(stats.received, kClients * kPerClient);
+    // Everything that decodes and passes submit's checks is admitted.
+    EXPECT_EQ(stats.admitted, 5 * each);
+    EXPECT_EQ(stats.executed, 4 * each);
+    EXPECT_EQ(stats.prQueries, each);
+    EXPECT_EQ(stats.expectedValueQueries, each);
+    EXPECT_EQ(stats.takeSamplesQueries, each);
+    EXPECT_EQ(stats.adviseQueries, each);
+    EXPECT_EQ(stats.badRequest, 2 * each);
+    EXPECT_EQ(stats.unknownModel, each);
+    EXPECT_EQ(stats.malformed, each);
+    EXPECT_EQ(stats.rejectedOverload, 0u);
+    EXPECT_EQ(stats.shuttingDown, 0u);
+    EXPECT_EQ(stats.latencySamples, stats.executed);
+    EXPECT_LE(stats.queuePeak, kClients);
+    EXPECT_LE(stats.batchOccupancyMax, options.maxBatch);
+
+    std::uint64_t totalSamples = 0;
+    ASSERT_EQ(stats.tenants.size(), kClients);
+    for (std::uint64_t c = 0; c < kClients; ++c) {
+        SCOPED_TRACE(::testing::Message() << "client " << c);
+        const serve::TenantStats& tenant = stats.tenants.at(100 + c);
+        EXPECT_EQ(tenant.received, kPerClient);
+        EXPECT_EQ(tenant.executed, 4 * kRounds);
+        EXPECT_EQ(tenant.rejected, 4 * kRounds);
+        EXPECT_EQ(tenant.samplesUsed, samplesUsed[c]);
+        totalSamples += samplesUsed[c];
+    }
+    EXPECT_EQ(stats.samplesDrawn, totalSamples);
 }
 
 TEST(ServeThreading, StopUnderLoadAnswersEverySubmit)

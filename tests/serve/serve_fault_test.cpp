@@ -272,6 +272,47 @@ TEST(ServeFault, SlowConsumerIsBoundedWithoutBlockingTheServer)
     Response buffered;
     EXPECT_TRUE(slow.receive(buffered));
     EXPECT_EQ(buffered.status, Status::Ok);
+
+    // A consumer that reads a little, then falls behind. receive()
+    // takes every queued reply at once; the ones it has taken but not
+    // yet read still fill the inbox, so drops start at exactly the
+    // capacity. The single worker answers in submission order, so a
+    // healthy call's reply means every earlier sink has fired.
+    constexpr std::size_t kCapacity = 4;
+    LoopbackClient lagging(server, kCapacity);
+    std::uint64_t nextId = 100;
+    const auto sendSome = [&](std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+            Request request =
+                serveChainRequest(Opcode::ExpectedValue, 10, nextId++);
+            request.sampleCount = 64;
+            lagging.send(request);
+        }
+        EXPECT_EQ(healthy.call(serveChainRequest(Opcode::Pr, 9, nextId++))
+                      .status,
+                  Status::Ok);
+    };
+    sendSome(kCapacity);
+    EXPECT_EQ(lagging.pendingReplies(), kCapacity);
+    EXPECT_EQ(lagging.dropped(), 0u);
+    Response first;
+    ASSERT_TRUE(lagging.receive(first));
+    EXPECT_EQ(first.requestId, 100u);
+    EXPECT_EQ(lagging.pendingReplies(), kCapacity - 1);
+
+    // Room for exactly one more: of three replies, two are dropped.
+    sendSome(3);
+    EXPECT_EQ(lagging.pendingReplies(), kCapacity);
+    EXPECT_EQ(lagging.dropped(), 2u);
+    // What was kept arrives in order: the three taken, then the one
+    // that fit.
+    for (const std::uint64_t id : {101u, 102u, 103u, 105u}) {
+        Response reply;
+        ASSERT_TRUE(lagging.receive(reply));
+        EXPECT_EQ(reply.requestId, id);
+        EXPECT_EQ(reply.status, Status::Ok);
+    }
+    EXPECT_EQ(lagging.pendingReplies(), 0u);
 }
 
 TEST(ServeFault, BatchWindowBoundsALoneRequestsLatency)

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -99,6 +101,99 @@ TEST(ServeProtocol, ResponseRoundTripsThroughTheCodec)
     ASSERT_TRUE(serve::decodeResponse(frame.data() + 4,
                                       frame.size() - 4, decoded));
     expectIdenticalReplies(decoded, response);
+}
+
+/** Little-endian bytes appended one at a time: the wire layout of
+ *  serve/protocol.hpp spelled out independently of the encoders. */
+struct ByteLog
+{
+    std::vector<std::uint8_t> bytes;
+
+    void
+    put(std::uint64_t v, int width)
+    {
+        for (int i = 0; i < width; ++i)
+            bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+
+    void
+    f64(double v)
+    {
+        put(std::bit_cast<std::uint64_t>(v), 8);
+    }
+
+    /** Prefix with the u32 length of what was logged. */
+    std::vector<std::uint8_t>
+    frame() const
+    {
+        ByteLog out;
+        out.put(bytes.size(), 4);
+        out.bytes.insert(out.bytes.end(), bytes.begin(), bytes.end());
+        return out.bytes;
+    }
+};
+
+TEST(ServeProtocol, EncodersWriteTheDocumentedLayout)
+{
+    Request request;
+    request.opcode = Opcode::Advise;
+    request.tenantId = 0x0123456789abcdefULL;
+    request.requestId = 0xfedcba9876543210ULL;
+    request.modelId = 0xa1b2c3d4u;
+    request.sampleCount = 77;
+    request.threshold = -0.0;
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                serve::kMaxParams}) {
+        request.params.clear();
+        for (std::size_t i = 0; i < n; ++i)
+            request.params.push_back(-1.5 * static_cast<double>(i) + 1e-300);
+        ByteLog expected;
+        expected.put(serve::kRequestMagic, 4);
+        expected.put(serve::kProtocolVersion, 2);
+        expected.put(static_cast<std::uint16_t>(request.opcode), 2);
+        expected.put(request.tenantId, 8);
+        expected.put(request.requestId, 8);
+        expected.put(request.modelId, 4);
+        expected.put(request.sampleCount, 4);
+        expected.f64(request.threshold);
+        expected.put(n, 4);
+        for (double p : request.params)
+            expected.f64(p);
+        EXPECT_EQ(expected.bytes.size(), 44 + 8 * n);
+        EXPECT_EQ(serve::encodeRequest(request), expected.frame())
+            << n << " params";
+    }
+
+    Response response;
+    response.status = Status::Overloaded;
+    response.opcode = Opcode::TakeSamples;
+    response.decision = 0xbeef;
+    response.tenantId = 0x1122334455667788ULL;
+    response.requestId = 3;
+    response.value = 6.02e23;
+    response.samplesUsed = 0x0102030405060708ULL;
+    for (const std::size_t n : {std::size_t{0}, std::size_t{3},
+                                std::size_t{1000}}) {
+        response.samples.clear();
+        for (std::size_t i = 0; i < n; ++i)
+            response.samples.push_back(0.1 * static_cast<double>(i) - 7.0);
+        ByteLog expected;
+        expected.put(serve::kResponseMagic, 4);
+        expected.put(serve::kProtocolVersion, 2);
+        expected.put(static_cast<std::uint16_t>(response.status), 2);
+        expected.put(static_cast<std::uint16_t>(response.opcode), 2);
+        expected.put(response.decision, 2);
+        expected.put(response.tenantId, 8);
+        expected.put(response.requestId, 8);
+        expected.f64(response.value);
+        expected.put(response.samplesUsed, 8);
+        expected.put(n, 4);
+        for (double v : response.samples)
+            expected.f64(v);
+        EXPECT_EQ(expected.bytes.size(), 48 + 8 * n);
+        EXPECT_EQ(serve::encodeResponse(response), expected.frame())
+            << n << " samples";
+    }
 }
 
 TEST(ServeProtocol, DecodeRejectsBadMagicVersionAndTrailingBytes)
@@ -299,6 +394,55 @@ TEST(ServeRepro, RebuiltInstancesReproduceAfterCacheEviction)
     EXPECT_GE(serve::serverStats(server).modelBuilds, 3u);
 }
 
+TEST(ServeRepro, SignedZeroParamsBuildDistinctInstances)
+{
+    // +0.0 == -0.0 as doubles, but the build stream hashes the bits:
+    // the two requests below must be served from two instances even
+    // when they arrive in one coalesced batch, each reply exactly
+    // what a solo server gives it.
+    ServerOptions options;
+    options.seed = sweptServerSeed(15);
+    options.maxBatch = 8;
+    options.batchWindowMicros = 50000; // generous: gather both
+    Request positive = serveGpsRequest(Opcode::ExpectedValue, 4, 1);
+    positive.params[0] = 0.0;
+    Request negative = serveGpsRequest(Opcode::ExpectedValue, 4, 2);
+    negative.params[0] = -0.0;
+
+    UncertainServer server(options);
+    LoopbackClient client(server);
+    // Queued before the workers start, so the first gather takes
+    // both into one batch.
+    client.send(positive);
+    client.send(negative);
+    server.start();
+    std::map<std::uint64_t, Response> replies;
+    for (int i = 0; i < 2; ++i) {
+        Response response;
+        ASSERT_TRUE(client.receive(response));
+        ASSERT_EQ(response.status, Status::Ok);
+        replies[response.requestId] = response;
+    }
+    const serve::ServerStats stats = serve::serverStats(server);
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.batchOccupancyMax, 2u);
+    EXPECT_EQ(stats.modelBuilds, 2u);
+    EXPECT_EQ(stats.coalescedRequests, 0u); // two groups of one
+
+    for (const Request& request : {positive, negative}) {
+        ServerOptions soloOptions = options;
+        soloOptions.maxBatch = 1;
+        UncertainServer solo(soloOptions);
+        solo.start();
+        LoopbackClient soloClient(solo);
+        EXPECT_EQ(serve::encodeResponse(replies.at(request.requestId)),
+                  serve::encodeResponse(soloClient.call(request)))
+            << "lat " << request.params[0];
+    }
+    // Different build streams: the two posteriors differ.
+    EXPECT_NE(replies.at(1).value, replies.at(2).value);
+}
+
 // ---------------------------------------------------------------------
 // Coalesced-vs-direct equivalence.
 // ---------------------------------------------------------------------
@@ -454,6 +598,36 @@ TEST(ServeEquivalence, CoalescedGroupsShareThePlanCache)
         server.planCache()->stats();
     EXPECT_GE(cacheStats.hits, 1u);
     EXPECT_FALSE(serverReport(stats).empty());
+}
+
+TEST(ServeStats, LatencyHistogramQuantilesWithinOnePercent)
+{
+    // 1e5 log-uniform latencies over 1 us .. 10 s, in whole micros.
+    Rng rng(0x1a7e5c1ULL);
+    std::vector<std::uint64_t> latencies(100000);
+    for (std::uint64_t& micros : latencies) {
+        micros = static_cast<std::uint64_t>(
+            std::llround(std::exp(rng.nextDouble() * std::log(1e7))));
+    }
+    serve::LatencyHistogram whole;
+    serve::LatencyHistogram halves[2];
+    for (std::size_t i = 0; i < latencies.size(); ++i) {
+        whole.record(latencies[i]);
+        halves[i % 2].record(latencies[i]);
+    }
+    halves[0].merge(halves[1]);
+    ASSERT_EQ(halves[0].count(), latencies.size());
+
+    std::sort(latencies.begin(), latencies.end());
+    for (double q : {0.5, 0.99, 0.999}) {
+        // The smallest value with at least q of the samples at or
+        // below it: the histogram's own quantile rule.
+        const auto rank = static_cast<std::size_t>(
+            std::ceil(q * static_cast<double>(latencies.size())));
+        const double exact = static_cast<double>(latencies[rank - 1]);
+        EXPECT_NEAR(whole.quantile(q), exact, 0.01 * exact) << "q " << q;
+        EXPECT_EQ(halves[0].quantile(q), whole.quantile(q)) << "q " << q;
+    }
 }
 
 // ---------------------------------------------------------------------
