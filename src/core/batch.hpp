@@ -2,7 +2,7 @@
  * @file
  * Columnar batched sampling engine.
  *
- * BatchSampler is the serial driver for the flat plans of
+ * BatchSampler is the driver for the flat plans of
  * core/batch_plan.hpp: it compiles a graph once (cached per root and
  * optimizer configuration), then fills contiguous columns block by
  * block — per-node kernel loops instead of a per-sample tree walk
@@ -14,14 +14,16 @@
  * Determinism contract (see docs/API.md): output is a pure function
  * of (caller Rng snapshot, n, blockSize, graph shape) — the optimizer
  * passes do not change it (they are bit-exact; see PlanOptions).
- * Identical across runs and across engines sharing the same block
- * partition — ParallelSampler at any thread count with chunkSize ==
- * blockSize is bit-identical to BatchSampler. Not bit-identical to
- * the tree walk; the statistical-equivalence suite pins both engines
- * to the same law. Memory footprint: columnCount() * blockSize
- * elements per workspace, where columnCount() is the number of
- * *physical* columns after buffer reuse (one workspace per engine,
- * one extra per worker thread in the parallel engine).
+ * Identical across runs, across BlockScheduler helper counts (blocks
+ * may run on any thread; see core/block_scheduler.hpp) and across
+ * engines sharing the same block partition — ParallelSampler at any
+ * thread count with chunkSize == blockSize is bit-identical to
+ * BatchSampler. Not bit-identical to the tree walk; the
+ * statistical-equivalence suite pins both engines to the same law.
+ * Memory footprint: columnCount() * blockSize elements per
+ * workspace, where columnCount() is the number of *physical* columns
+ * after buffer reuse (one workspace per engine, one more per
+ * scheduler helper that has run the plan).
  */
 
 #ifndef UNCERTAIN_CORE_BATCH_HPP
@@ -33,11 +35,13 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/batch_plan.hpp"
+#include "core/block_scheduler.hpp"
 #include "core/conditional.hpp"
 #include "core/node.hpp"
 #include "support/error.hpp"
@@ -82,11 +86,12 @@ struct PlanCacheStats
  * least-recently-used entry is evicted; a plan handed out earlier
  * stays valid (shared_ptr) even after its entry is evicted.
  *
- * One cache may be shared between samplers — including a BatchSampler
- * and a ParallelSampler's workers — because lookups and insertions
- * are mutex-guarded and plans themselves are immutable. Compilation
- * happens outside the lock; two threads racing on the same new root
- * may both compile, and the loser adopts the winner's plan.
+ * One cache may be shared between samplers — including the
+ * BatchSamplers of several server workers — because lookups and
+ * insertions are mutex-guarded and plans themselves are immutable.
+ * Compilation happens outside the lock; two threads racing on the
+ * same new root may both compile, and the loser adopts the winner's
+ * plan.
  */
 class PlanCache
 {
@@ -216,56 +221,31 @@ class PlanCache
 };
 
 /**
- * A sampler-private pool of reusable workspaces, one per plan. Not
- * thread-safe (like the sampler owning it); each pool entry keeps its
- * plan alive so the pointer key cannot dangle even after the shared
- * PlanCache evicts the plan.
- */
-class WorkspacePool
-{
-  public:
-    static constexpr std::size_t kMaxWorkspaces = 16;
-
-    BatchWorkspace&
-    acquire(const std::shared_ptr<const BatchPlan>& plan)
-    {
-        auto it = entries_.find(plan.get());
-        if (it != entries_.end())
-            return it->second.workspace;
-        if (entries_.size() >= kMaxWorkspaces)
-            entries_.clear();
-        Entry entry{plan, plan->makeWorkspace()};
-        return entries_.emplace(plan.get(), std::move(entry))
-            .first->second.workspace;
-    }
-
-  private:
-    struct Entry
-    {
-        std::shared_ptr<const BatchPlan> plan;
-        BatchWorkspace workspace;
-    };
-
-    std::unordered_map<const BatchPlan*, Entry> entries_;
-};
-
-/**
- * Serial columnar batch engine behind the same surface as the
- * tree-walk and parallel paths: takeSamples / expectedValue /
- * probability / evaluateCondition. One engine may be reused across
- * graphs and calls; it is not itself thread-safe (one engine per
- * calling thread, like ParallelSampler), though its PlanCache may be
- * shared between engines.
+ * Columnar batch engine behind the same surface as the tree-walk
+ * path: takeSamples / expectedValue / probability /
+ * evaluateCondition. One engine may be reused across graphs and
+ * calls; it is not itself thread-safe (one engine per calling
+ * thread), though its PlanCache and BlockScheduler may be shared
+ * between engines.
+ *
+ * Without a scheduler (or with one that has no helpers) every query
+ * runs its blocks serially on the calling thread. With one, a query
+ * of more than blockSize draws runs its blocks on the calling thread
+ * together with the scheduler's helpers (core/block_scheduler.hpp);
+ * the output is the same bits either way.
  */
 class BatchSampler
 {
   public:
     explicit BatchSampler(BatchOptions options = {},
-                          std::shared_ptr<PlanCache> cache = nullptr)
+                          std::shared_ptr<PlanCache> cache = nullptr,
+                          std::shared_ptr<BlockScheduler> scheduler =
+                              nullptr)
         : blockSize_(options.blockSize > 0 ? options.blockSize : 1),
           optimizer_(options.optimizer),
           cache_(cache ? std::move(cache)
-                       : std::make_shared<PlanCache>())
+                       : std::make_shared<PlanCache>()),
+          scheduler_(std::move(scheduler))
     {}
 
     std::size_t blockSize() const { return blockSize_; }
@@ -287,17 +267,14 @@ class BatchSampler
     /**
      * Draw @p n root samples of @p node into a vector. @p rng is
      * advanced once at the end so the next batch sees a fresh stream
-     * family (same convention as ParallelSampler).
+     * family.
      */
     template <typename T>
     std::vector<T>
     takeSamples(const NodePtr<T>& node, std::size_t n, Rng& rng)
     {
-        std::unique_ptr<T[]> buffer(new T[n]());
-        sampleInto(node, n, rng, buffer.get());
-        evalStats().rootSamples += n;
-        rng.advance();
-        return std::vector<T>(buffer.get(), buffer.get() + n);
+        return takeSamplesPlan<T>(cache_->planFor(node, optimizer_), n,
+                                  rng);
     }
 
     /** Mean of @p n samples, reduced serially in index order. */
@@ -305,16 +282,8 @@ class BatchSampler
     T
     expectedValue(const NodePtr<T>& node, std::size_t n, Rng& rng)
     {
-        UNCERTAIN_REQUIRE(n >= 1, "expectedValue requires n >= 1");
-        std::unique_ptr<T[]> buffer(new T[n]());
-        sampleInto(node, n, rng, buffer.get());
-        evalStats().rootSamples += n;
-        ++evalStats().expectations;
-        rng.advance();
-        T total = buffer[0];
-        for (std::size_t i = 1; i < n; ++i)
-            total = total + buffer[i];
-        return total / static_cast<double>(n);
+        return expectedValuePlan<T>(cache_->planFor(node, optimizer_), n,
+                                    rng);
     }
 
     /** Point estimate of Pr[node] from @p n batched samples. */
@@ -322,7 +291,7 @@ class BatchSampler
     probability(const NodePtr<bool>& node, std::size_t n, Rng& rng)
     {
         UNCERTAIN_REQUIRE(n >= 1, "probability requires n >= 1");
-        std::unique_ptr<bool[]> buffer(new bool[n]());
+        std::unique_ptr<bool[]> buffer(new bool[n]);
         sampleInto(node, n, rng, buffer.get());
         evalStats().rootSamples += n;
         rng.advance();
@@ -379,13 +348,12 @@ class BatchSampler
 
     // ----- plan-direct entry points ---------------------------------
     // The node-keyed methods above resolve their plan through the
-    // shared cache on every call; callers that already hold a plan —
-    // the serving coalescer executing a batch of requests against one
-    // plan-cache entry, or anything driving several queries through
-    // the same compiled graph — use these to pay the lookup once per
-    // group instead of once per request. Same determinism contract:
-    // output is a pure function of (Rng snapshot, n, blockSize, plan),
-    // bit-identical to the node-keyed path given the same plan.
+    // shared cache and forward here; callers that already hold a
+    // plan — the serving coalescer executing a batch of requests
+    // against one plan-cache entry, or anything driving several
+    // queries through the same compiled graph — call these directly
+    // to pay the lookup once per group instead of once per request.
+    // Output is a pure function of (Rng snapshot, n, blockSize, plan).
 
     /** sampleInto against an already-resolved plan. */
     template <typename T>
@@ -393,17 +361,7 @@ class BatchSampler
     sampleIntoPlan(const std::shared_ptr<const BatchPlan>& plan,
                    std::size_t n, const Rng& base, T* out)
     {
-        UNCERTAIN_REQUIRE(plan != nullptr,
-                          "plan-direct sampling requires a plan");
-        auto& workspace = workspaces_.acquire(plan);
-        const std::size_t rootCol = plan->rootColumn();
-        for (std::size_t start = 0; start < n; start += blockSize_) {
-            const std::size_t len = std::min(blockSize_, n - start);
-            plan->runBlock(workspace, base, start, len);
-            const auto* col =
-                workspace.template column<T>(rootCol).data();
-            std::copy(col, col + len, out + start);
-        }
+        fillPlan<T>(plan, base, 0, n, out);
     }
 
     /** takeSamples against an already-resolved plan. */
@@ -412,28 +370,66 @@ class BatchSampler
     takeSamplesPlan(const std::shared_ptr<const BatchPlan>& plan,
                     std::size_t n, Rng& rng)
     {
-        std::unique_ptr<T[]> buffer(new T[n]());
-        sampleIntoPlan(plan, n, rng, buffer.get());
+        std::vector<T> samples;
+        if constexpr (std::is_same_v<T, bool>) {
+            // vector<bool>'s packed bits cannot be written per block
+            // by concurrent participants.
+            std::unique_ptr<bool[]> buffer(new bool[n]);
+            sampleIntoPlan(plan, n, rng, buffer.get());
+            samples.assign(buffer.get(), buffer.get() + n);
+        } else if (spreads(n)) {
+            samples.resize(n);
+            sampleIntoPlan(plan, n, rng, samples.data());
+        } else {
+            samples.reserve(n);
+            forEachBlock<T>(plan, rng, 0, n,
+                            [&](const auto* col, std::size_t len) {
+                                samples.insert(samples.end(), col,
+                                               col + len);
+                            });
+        }
         evalStats().rootSamples += n;
         rng.advance();
-        return std::vector<T>(buffer.get(), buffer.get() + n);
+        return samples;
     }
 
-    /** expectedValue against an already-resolved plan. */
+    /**
+     * expectedValue against an already-resolved plan. Each block is
+     * folded from its root column as it completes, in index order, so
+     * memory stays O(blockSize) on the serial path; a query the
+     * scheduler spreads keeps its n draws for the in-order fold.
+     */
     template <typename T>
     T
     expectedValuePlan(const std::shared_ptr<const BatchPlan>& plan,
                       std::size_t n, Rng& rng)
     {
         UNCERTAIN_REQUIRE(n >= 1, "expectedValue requires n >= 1");
-        std::unique_ptr<T[]> buffer(new T[n]());
-        sampleIntoPlan(plan, n, rng, buffer.get());
+        UNCERTAIN_REQUIRE(plan != nullptr,
+                          "plan-direct sampling requires a plan");
+        T total{};
+        if (spreads(n)) {
+            std::unique_ptr<T[]> draws(new T[n]);
+            auto task = std::make_shared<MeanBlocks<T>>(
+                plan, rng, 0, n, blockSize_, draws.get());
+            scheduler_->run(task, workspaces_);
+            total = task->total();
+        } else {
+            bool first = true;
+            forEachBlock<T>(plan, rng, 0, n,
+                            [&](const auto* col, std::size_t len) {
+                                std::size_t i = 0;
+                                if (first) {
+                                    total = col[i++];
+                                    first = false;
+                                }
+                                for (; i < len; ++i)
+                                    total = total + col[i];
+                            });
+        }
         evalStats().rootSamples += n;
         ++evalStats().expectations;
         rng.advance();
-        T total = buffer[0];
-        for (std::size_t i = 1; i < n; ++i)
-            total = total + buffer[i];
         return total / static_cast<double>(n);
     }
 
@@ -443,18 +439,7 @@ class BatchSampler
                      const Rng& base, std::size_t offset,
                      std::size_t count, std::uint8_t* out)
     {
-        UNCERTAIN_REQUIRE(plan != nullptr,
-                          "plan-direct sampling requires a plan");
-        auto& workspace = workspaces_.acquire(plan);
-        const std::size_t rootCol = plan->rootColumn();
-        for (std::size_t start = 0; start < count;
-             start += blockSize_) {
-            const std::size_t len =
-                std::min(blockSize_, count - start);
-            plan->runBlock(workspace, base, offset + start, len);
-            const auto* col = workspace.column<bool>(rootCol).data();
-            std::copy(col, col + len, out + start);
-        }
+        fillPlan<bool>(plan, base, offset, count, out);
     }
 
     /**
@@ -469,6 +454,18 @@ class BatchSampler
     {
         const std::size_t chunk = std::max<std::size_t>(
             options.sprt.batchSize, std::size_t{256});
+        return evaluateConditionPlan(plan, threshold, options, rng,
+                                     chunk);
+    }
+
+    /** evaluateConditionPlan with an explicit evidence chunk size
+     *  (part of the stream schedule, like blockSize). */
+    ConditionalResult
+    evaluateConditionPlan(const std::shared_ptr<const BatchPlan>& plan,
+                          double threshold,
+                          const ConditionalOptions& options, Rng& rng,
+                          std::size_t chunk)
+    {
         auto result = evaluateConditionChunked(
             [&](std::size_t offset, std::size_t count,
                 std::uint8_t* out) {
@@ -480,9 +477,62 @@ class BatchSampler
     }
 
   private:
+    /** Whether a query of @p n draws runs on the scheduler. */
+    bool
+    spreads(std::size_t n) const
+    {
+        return scheduler_ != nullptr && scheduler_->helpers() > 0
+               && n > blockSize_;
+    }
+
+    /**
+     * The serial block loop: run the blocks of [offset, offset + n)
+     * in index order on this thread, handing each root column and
+     * its length to @p visit.
+     */
+    template <typename T, typename Visit>
+    void
+    forEachBlock(const std::shared_ptr<const BatchPlan>& plan,
+                 const Rng& base, std::size_t offset, std::size_t n,
+                 Visit&& visit)
+    {
+        UNCERTAIN_REQUIRE(plan != nullptr,
+                          "plan-direct sampling requires a plan");
+        auto& workspace = workspaces_.acquire(plan);
+        const std::size_t rootCol = plan->rootColumn();
+        for (std::size_t start = 0; start < n; start += blockSize_) {
+            const std::size_t len = std::min(blockSize_, n - start);
+            plan->runBlock(workspace, base, offset + start, len);
+            visit(workspace.template column<T>(rootCol).data(), len);
+        }
+    }
+
+    /** Write the draws of [offset, offset + n) to out[0..n). */
+    template <typename T, typename Out>
+    void
+    fillPlan(const std::shared_ptr<const BatchPlan>& plan,
+             const Rng& base, std::size_t offset, std::size_t n,
+             Out* out)
+    {
+        if (spreads(n)) {
+            UNCERTAIN_REQUIRE(plan != nullptr,
+                              "plan-direct sampling requires a plan");
+            scheduler_->run(std::make_shared<PlanBlocks<T, Out>>(
+                                plan, base, offset, n, blockSize_, out),
+                            workspaces_);
+            return;
+        }
+        Out* next = out;
+        forEachBlock<T>(plan, base, offset, n,
+                        [&](const auto* col, std::size_t len) {
+                            next = std::copy(col, col + len, next);
+                        });
+    }
+
     std::size_t blockSize_;
     PlanOptions optimizer_;
     std::shared_ptr<PlanCache> cache_;
+    std::shared_ptr<BlockScheduler> scheduler_;
     WorkspacePool workspaces_;
 };
 

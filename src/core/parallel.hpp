@@ -4,10 +4,10 @@
  *
  * The graph is compiled once into the flat plan of
  * core/batch_plan.hpp; a batch of N draws is partitioned into column
- * blocks of chunkSize samples, and the thread pool executes whole
- * blocks — each worker fills its own private workspace of contiguous
- * columns, paying per-node dispatch once per block instead of once
- * per sample. Blocks are independent (leaf streams derive from the
+ * blocks of chunkSize samples, and a BlockScheduler runs whole
+ * blocks on the calling thread plus threads - 1 helper threads, each
+ * participant filling its own reusable workspace of contiguous
+ * columns. Blocks are independent (leaf streams derive from the
  * caller's Rng snapshot and the block's start index), so the batch is
  * embarrassingly parallel.
  *
@@ -15,81 +15,34 @@
  * the block starting at absolute index s always draws from
  * `base.split(s)` (one child stream per leaf under it). Output is
  * therefore bit-identical for any thread count — and bit-identical to
- * the serial BatchSampler with blockSize == chunkSize. Changing
- * chunkSize changes the stream partition (and so the samples), unlike
- * the per-sample engine this replaces.
+ * the serial BatchSampler with blockSize == chunkSize, which is what
+ * this engine is: a BatchSampler whose blocks the scheduler spreads.
+ * Changing chunkSize changes the stream partition (and so the
+ * samples), unlike the per-sample engine this replaces.
  */
 
 #ifndef UNCERTAIN_CORE_PARALLEL_HPP
 #define UNCERTAIN_CORE_PARALLEL_HPP
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/batch.hpp"
+#include "core/block_scheduler.hpp"
 #include "core/conditional.hpp"
 #include "core/node.hpp"
-#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace uncertain {
 namespace core {
 
-/**
- * Minimal fixed-size thread pool. Workers are started once and reused
- * across batches; parallelFor blocks the caller until every chunk has
- * run. With fewer than two workers the loop runs inline on the
- * calling thread (no pool threads are ever started), which keeps
- * single-threaded users allocation- and synchronization-free.
- */
-class ThreadPool
-{
-  public:
-    /** @param threads worker count; 0 means hardware concurrency. */
-    explicit ThreadPool(unsigned threads = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    /** Number of threads chunks run on (>= 1; 1 means inline). */
-    unsigned threadCount() const { return threads_; }
-
-    /**
-     * Run body(begin, end) over consecutive chunks of [0, n), each at
-     * most @p chunk long, and wait for completion. The first
-     * exception thrown by any chunk is rethrown on the caller.
-     */
-    void parallelFor(std::size_t n, std::size_t chunk,
-                     const std::function<void(std::size_t, std::size_t)>&
-                         body);
-
-  private:
-    void workerLoop();
-
-    unsigned threads_;
-    std::vector<std::thread> workers_;
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    std::vector<std::function<void()>> queue_;
-    std::size_t pending_ = 0; //!< queued + running tasks
-    std::exception_ptr firstError_;
-    bool stopping_ = false;
-};
-
 /** Tuning for the parallel sampling engine. */
 struct ParallelOptions
 {
-    /** Worker threads; 0 = hardware concurrency, 1 = inline. */
+    /** Threads blocks run on, the caller included; 0 = the CPUs in
+     *  the affinity mask (availableCpus()), 1 = inline. */
     unsigned threads = 0;
     /**
      * Samples per column block (one work item). Large enough to
@@ -107,35 +60,42 @@ struct ParallelOptions
 };
 
 /**
- * Parallel batch sampling engine: compiles the graph into a columnar
- * plan and draws blocks of samples concurrently, one workspace per
- * worker. One engine may be reused across graphs and calls; it is not
- * itself thread-safe (use one engine per calling thread).
+ * Parallel batch sampling engine: a BatchSampler with blockSize =
+ * chunkSize over a private BlockScheduler of threads - 1 helpers
+ * (none, and no scheduler, at one thread). One engine may be reused
+ * across graphs and calls; it is not itself thread-safe (use one
+ * engine per calling thread).
  */
 class ParallelSampler
 {
   public:
     explicit ParallelSampler(ParallelOptions options = {},
                              std::shared_ptr<PlanCache> cache = nullptr)
-        : pool_(options.threads),
-          chunkSize_(options.chunkSize > 0 ? options.chunkSize : 1),
-          optimizer_(options.optimizer),
-          cache_(cache ? std::move(cache)
-                       : std::make_shared<PlanCache>())
+        : threads_(options.threads > 0 ? options.threads
+                                       : availableCpus()),
+          batch_(BatchOptions{options.chunkSize, options.optimizer},
+                 std::move(cache),
+                 threads_ > 1
+                     ? std::make_shared<BlockScheduler>(threads_ - 1)
+                     : nullptr)
     {}
 
     explicit ParallelSampler(unsigned threads)
         : ParallelSampler(ParallelOptions{threads, 1024})
     {}
 
-    unsigned threads() const { return pool_.threadCount(); }
-    std::size_t chunkSize() const { return chunkSize_; }
+    /** Threads blocks run on (>= 1; 1 means inline). */
+    unsigned threads() const { return threads_; }
+    std::size_t chunkSize() const { return batch_.blockSize(); }
 
     /** The optimizer configuration plans are compiled with. */
-    const PlanOptions& optimizer() const { return optimizer_; }
+    const PlanOptions& optimizer() const { return batch_.optimizer(); }
 
     /** The (shareable, thread-safe) plan cache backing this engine. */
-    const std::shared_ptr<PlanCache>& planCache() const { return cache_; }
+    const std::shared_ptr<PlanCache>& planCache() const
+    {
+        return batch_.planCache();
+    }
 
     /**
      * Draw @p n root samples of @p node into a vector. The block
@@ -148,51 +108,25 @@ class ParallelSampler
     std::vector<T>
     takeSamples(const NodePtr<T>& node, std::size_t n, Rng& rng)
     {
-        UNCERTAIN_REQUIRE(node != nullptr,
-                          "takeSamples requires a node");
-        // A plain array: vector<bool>'s packed bits cannot be written
-        // concurrently.
-        std::unique_ptr<T[]> buffer(new T[n]());
-        sampleInto(node, n, rng, buffer.get());
-        evalStats().rootSamples += n;
-        rng.advance();
-        return std::vector<T>(buffer.get(), buffer.get() + n);
+        return batch_.takeSamples(node, n, rng);
     }
 
     /**
      * Mean of @p n samples. The reduction runs serially in index
-     * order after the parallel draw, so the result is bit-identical
-     * for any thread count.
+     * order, so the result is bit-identical for any thread count.
      */
     template <typename T>
     T
     expectedValue(const NodePtr<T>& node, std::size_t n, Rng& rng)
     {
-        UNCERTAIN_REQUIRE(n >= 1, "expectedValue requires n >= 1");
-        std::unique_ptr<T[]> buffer(new T[n]());
-        sampleInto(node, n, rng, buffer.get());
-        evalStats().rootSamples += n;
-        ++evalStats().expectations;
-        rng.advance();
-        T total = buffer[0];
-        for (std::size_t i = 1; i < n; ++i)
-            total = total + buffer[i];
-        return total / static_cast<double>(n);
+        return batch_.expectedValue(node, n, rng);
     }
 
     /** Point estimate of Pr[node] from @p n parallel samples. */
     double
     probability(const NodePtr<bool>& node, std::size_t n, Rng& rng)
     {
-        UNCERTAIN_REQUIRE(n >= 1, "probability requires n >= 1");
-        std::unique_ptr<bool[]> buffer(new bool[n]());
-        sampleInto(node, n, rng, buffer.get());
-        evalStats().rootSamples += n;
-        rng.advance();
-        std::size_t hits = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            hits += buffer[i] ? 1 : 0;
-        return static_cast<double>(hits) / static_cast<double>(n);
+        return batch_.probability(node, n, rng);
     }
 
     /**
@@ -206,106 +140,19 @@ class ParallelSampler
     evaluateCondition(const NodePtr<bool>& node, double threshold,
                       const ConditionalOptions& options, Rng& rng)
     {
-        UNCERTAIN_REQUIRE(node != nullptr,
-                          "evaluateCondition requires a node");
-        // Chunks sized for the pool: a serial-width SPRT batch (k=10)
-        // would leave workers idle.
+        // Chunks sized for the threads: a serial-width SPRT batch
+        // (k=10) would leave helpers idle.
         const std::size_t chunk = std::max<std::size_t>(
             options.sprt.batchSize,
-            static_cast<std::size_t>(pool_.threadCount()) * 64);
-        auto result = evaluateConditionChunked(
-            [&](std::size_t offset, std::size_t count,
-                std::uint8_t* out) {
-                sampleIndexed(node, rng, offset, count, out);
-            },
-            threshold, options, chunk);
-        rng.advance();
-        return result;
+            static_cast<std::size_t>(threads_) * 64);
+        return batch_.evaluateConditionPlan(batch_.planFor(node),
+                                            threshold, options, rng,
+                                            chunk);
     }
 
   private:
-    /**
-     * Fill out[0..n) with root draws via the columnar plan: block
-     * [begin, end) uses stream family base.split(begin). Does not
-     * advance @p base and does not touch evalStats (workers run on
-     * pool threads whose counters are not the caller's).
-     *
-     * With fewer than two workers the block loop runs inline on the
-     * calling thread against the plan cache's reusable workspace —
-     * no pool dispatch, no per-block workspace allocation — which is
-     * exactly the serial BatchSampler execution.
-     */
-    template <typename T>
-    void
-    sampleInto(const NodePtr<T>& node, std::size_t n, const Rng& base,
-               T* out)
-    {
-        auto planPtr = cache_->planFor(node, optimizer_);
-        const BatchPlan& plan = *planPtr;
-        const std::size_t rootCol = plan.rootColumn();
-        if (pool_.threadCount() < 2) {
-            auto& workspace = workspaces_.acquire(planPtr);
-            for (std::size_t start = 0; start < n;
-                 start += chunkSize_) {
-                const std::size_t len =
-                    std::min(chunkSize_, n - start);
-                plan.runBlock(workspace, base, start, len);
-                const auto* col =
-                    workspace.template column<T>(rootCol).data();
-                std::copy(col, col + len, out + start);
-            }
-            return;
-        }
-        pool_.parallelFor(
-            n, chunkSize_,
-            [&](std::size_t begin, std::size_t end) {
-                BatchWorkspace ws = plan.makeWorkspace();
-                plan.runBlock(ws, base, begin, end - begin);
-                const auto* col =
-                    ws.template column<T>(rootCol).data();
-                std::copy(col, col + (end - begin), out + begin);
-            });
-    }
-
-    /** sampleInto for a window [offset, offset+count) of the index
-     *  space, writing Bernoulli observations as bytes; blocks are
-     *  keyed by their absolute start offset. */
-    void
-    sampleIndexed(const NodePtr<bool>& node, const Rng& base,
-                  std::size_t offset, std::size_t count,
-                  std::uint8_t* out)
-    {
-        auto planPtr = cache_->planFor(node, optimizer_);
-        const BatchPlan& plan = *planPtr;
-        const std::size_t rootCol = plan.rootColumn();
-        if (pool_.threadCount() < 2) {
-            auto& workspace = workspaces_.acquire(planPtr);
-            for (std::size_t start = 0; start < count;
-                 start += chunkSize_) {
-                const std::size_t len =
-                    std::min(chunkSize_, count - start);
-                plan.runBlock(workspace, base, offset + start, len);
-                const auto* col =
-                    workspace.column<bool>(rootCol).data();
-                std::copy(col, col + len, out + start);
-            }
-            return;
-        }
-        pool_.parallelFor(
-            count, chunkSize_,
-            [&](std::size_t begin, std::size_t end) {
-                BatchWorkspace ws = plan.makeWorkspace();
-                plan.runBlock(ws, base, offset + begin, end - begin);
-                const auto* col = ws.column<bool>(rootCol).data();
-                std::copy(col, col + (end - begin), out + begin);
-            });
-    }
-
-    ThreadPool pool_;
-    std::size_t chunkSize_;
-    PlanOptions optimizer_;
-    std::shared_ptr<PlanCache> cache_;
-    WorkspacePool workspaces_; //!< inline (<2 thread) path only
+    unsigned threads_;
+    BatchSampler batch_;
 };
 
 } // namespace core

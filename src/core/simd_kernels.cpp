@@ -357,10 +357,16 @@ void
 xoshiroFillU64Scalar(std::uint64_t state[4], std::uint64_t* out,
                      std::size_t n)
 {
+    // The state lives in locals: out and state are both uint64_t*, so
+    // stepping through state[] would reload and store all four words
+    // around every output store.
+    std::uint64_t s[4] = {state[0], state[1], state[2], state[3]};
     for (std::size_t i = 0; i < n; ++i) {
-        out[i] = xoOutput(state);
-        xoStep(state);
+        out[i] = xoOutput(s);
+        xoStep(s);
     }
+    for (int k = 0; k < 4; ++k)
+        state[k] = s[k];
 }
 
 void

@@ -207,8 +207,9 @@ class Uncertain
 
     /**
      * Draw @p n samples with the parallel engine: column blocks of
-     * the batch are sampled concurrently on @p sampler's pool. Output
-     * is bit-identical for any thread count (see core/parallel.hpp).
+     * the batch are sampled concurrently by @p sampler's threads.
+     * Output is bit-identical for any thread count (see
+     * core/parallel.hpp).
      */
     std::vector<T>
     takeSamples(std::size_t n, Rng& rng,

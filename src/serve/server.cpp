@@ -215,6 +215,11 @@ UncertainServer::UncertainServer(ServerOptions options)
                       "serve: maxBatch must be >= 1");
     UNCERTAIN_REQUIRE(options_.workers >= 1,
                       "serve: workers must be >= 1");
+    const std::size_t cpus = core::availableCpus();
+    scheduler_ = std::make_shared<core::BlockScheduler>(
+        static_cast<unsigned>(cpus > options_.workers
+                                  ? cpus - options_.workers
+                                  : 0));
     registry_.emplace(kModelGaussianChain, buildGaussianChain);
     registry_.emplace(kModelGpsSpeed, buildGpsSpeed);
     for (std::size_t i = 0; i <= options_.workers; ++i)
@@ -253,6 +258,7 @@ UncertainServer::stop()
     for (auto& worker : workers_)
         worker.join();
     workers_.clear();
+    scheduler_->stop();
     // Anything still queued (e.g. the server was never started)
     // is refused, not dropped: every accepted request gets a reply.
     std::deque<Pending> backlog;
@@ -445,7 +451,7 @@ UncertainServer::instanceFor(StatsShard& shard, std::uint32_t modelId,
 void
 UncertainServer::workerLoop(StatsShard& shard)
 {
-    core::BatchSampler sampler(options_.batch, planCache_);
+    core::BatchSampler sampler(options_.batch, planCache_, scheduler_);
     std::vector<Pending> batch;
     const auto take = [&] {
         // Move as much of the queue as the batch has room for, under

@@ -8,6 +8,7 @@
  *
  *   clients -> transport (loopback / TCP) -> admission -> queue
  *          -> coalescing worker(s) -> BatchSampler over cached plans
+ *             (multi-block queries: + shared BlockScheduler helpers)
  *          -> reply sinks
  *
  * Coalescing: a worker drains queued requests (up to maxBatch) and
@@ -107,8 +108,22 @@ struct ServerOptions
      */
     std::size_t batchWindowMicros = 2000;
 
-    /** Worker threads draining the queue (each owns a BatchSampler
-     *  and shares the one PlanCache). */
+    /**
+     * Worker threads draining the queue. Each owns a BatchSampler;
+     * all share the one PlanCache and one BlockScheduler. A worker
+     * runs the blocks of a query of more than batch.blockSize draws
+     * (in practice a large ExpectedValue) itself, together with the
+     * scheduler's helper threads. There are availableCpus() - workers
+     * helpers, never below 0, counted once at construction from the
+     * process's affinity mask (what nproc counts); they start on the
+     * first multi-block query and stop() joins them. A helper that
+     * lags is never waited for: once nothing is left to claim, the
+     * worker recomputes the blocks still out, and the first finished
+     * copy of a block is kept. Every block is a pure function of the
+     * request's stream and its index, and the mean is folded in
+     * index order, so replies are bit-identical for any worker and
+     * helper count.
+     */
     std::size_t workers = 1;
 
     /**
@@ -347,6 +362,13 @@ class UncertainServer
         return planCache_;
     }
 
+    /** The block scheduler shared by the workers (for tests
+     *  inspecting its helper threads). */
+    const std::shared_ptr<core::BlockScheduler>& blockScheduler() const
+    {
+        return scheduler_;
+    }
+
     /**
      * Register (or replace) a model. Builtin ids kModelGaussianChain
      * and kModelGpsSpeed are pre-registered; tests add instrumented
@@ -422,6 +444,7 @@ class UncertainServer
     ServerOptions options_;
     Rng rootRng_; //!< Rng(options_.seed); only ever split, never advanced
     std::shared_ptr<core::PlanCache> planCache_;
+    std::shared_ptr<core::BlockScheduler> scheduler_;
 
     mutable std::mutex queueMutex_;
     std::condition_variable queueCv_;

@@ -7,7 +7,9 @@
  * single-worker replay — arrival interleaving and worker scheduling
  * must never leak into results. A second test checks that the
  * counters, which the server keeps per worker and merges on read,
- * add up exactly under concurrent accepted and refused traffic. A
+ * add up exactly under concurrent accepted and refused traffic,
+ * multi-block ExpectedValue queries on the shared block scheduler
+ * among them. A
  * third hammers submit() while the server stops and insists every
  * request is answered.
  */
@@ -139,6 +141,7 @@ enum class Fate
     ExpectedValue,
     TakeSamples,
     Advise,
+    BlockExpectedValue, //!< spans blocks: runs on the shared scheduler
     BadThreshold, //!< refused at submit
     UnknownModel, //!< refused at submit
     BadParams,    //!< admitted, refused by the worker's builder
@@ -183,6 +186,11 @@ TEST(ServeThreading, MergedCountersAreExactUnderConcurrency)
                         break;
                       case Fate::Advise:
                         request.opcode = Opcode::Advise;
+                        break;
+                      case Fate::BlockExpectedValue:
+                        request.opcode = Opcode::ExpectedValue;
+                        request.sampleCount =
+                            2 * options.batch.blockSize + 17;
                         break;
                       case Fate::BadThreshold:
                         request.opcode = Opcode::Pr;
@@ -250,10 +258,10 @@ TEST(ServeThreading, MergedCountersAreExactUnderConcurrency)
     const std::uint64_t each = kClients * kRounds; // requests per fate
     EXPECT_EQ(stats.received, kClients * kPerClient);
     // Everything that decodes and passes submit's checks is admitted.
-    EXPECT_EQ(stats.admitted, 5 * each);
-    EXPECT_EQ(stats.executed, 4 * each);
+    EXPECT_EQ(stats.admitted, 6 * each);
+    EXPECT_EQ(stats.executed, 5 * each);
     EXPECT_EQ(stats.prQueries, each);
-    EXPECT_EQ(stats.expectedValueQueries, each);
+    EXPECT_EQ(stats.expectedValueQueries, 2 * each);
     EXPECT_EQ(stats.takeSamplesQueries, each);
     EXPECT_EQ(stats.adviseQueries, each);
     EXPECT_EQ(stats.badRequest, 2 * each);
@@ -271,7 +279,7 @@ TEST(ServeThreading, MergedCountersAreExactUnderConcurrency)
         SCOPED_TRACE(::testing::Message() << "client " << c);
         const serve::TenantStats& tenant = stats.tenants.at(100 + c);
         EXPECT_EQ(tenant.received, kPerClient);
-        EXPECT_EQ(tenant.executed, 4 * kRounds);
+        EXPECT_EQ(tenant.executed, 5 * kRounds);
         EXPECT_EQ(tenant.rejected, 4 * kRounds);
         EXPECT_EQ(tenant.samplesUsed, samplesUsed[c]);
         totalSamples += samplesUsed[c];

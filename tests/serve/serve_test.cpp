@@ -528,6 +528,52 @@ TEST(ServeEquivalence, ExpectedValueAndSamplesMatchDirectBatchSampler)
     ASSERT_EQ(takeReply.samples.size(), direct.size());
     for (std::size_t i = 0; i < direct.size(); ++i)
         EXPECT_EQ(takeReply.samples[i], direct[i]) << "sample " << i;
+
+    // A multi-block ExpectedValue with a partial last block runs its
+    // blocks on the worker and the scheduler's helpers; the reply
+    // must still be the serial plan-direct mean, bit for bit.
+    Request wide = ev;
+    wide.requestId = 10;
+    wide.sampleCount = 3 * options.batch.blockSize + 17;
+    const Response wideReply = client.call(wide);
+    ASSERT_EQ(wideReply.status, Status::Ok);
+    Rng wideRng = Rng(options.seed).split(3).split(10);
+    const double serialMean = sampler.expectedValuePlan<double>(
+        sampler.planFor(twin.value.node()), wide.sampleCount, wideRng);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(wideReply.value),
+              std::bit_cast<std::uint64_t>(serialMean));
+}
+
+TEST(ServeScheduler, HelpersStartOnTheFirstMultiBlockQuery)
+{
+    ServerOptions options;
+    options.seed = sweptServerSeed(24);
+    UncertainServer server(options);
+    server.start();
+    LoopbackClient client(server);
+    const auto& scheduler = server.blockScheduler();
+    const unsigned cpus = core::availableCpus();
+    EXPECT_EQ(scheduler->helpers(),
+              cpus > options.workers ? cpus - options.workers : 0u);
+
+    // Single-block queries never touch the scheduler.
+    Request ev = serveChainRequest(Opcode::ExpectedValue, 4, 1, 0.0, 1.0,
+                                   8.0, 0.0);
+    ev.sampleCount = options.batch.blockSize;
+    ASSERT_EQ(client.call(ev).status, Status::Ok);
+    Request take = ev;
+    take.opcode = Opcode::TakeSamples;
+    take.requestId = 2;
+    ASSERT_EQ(client.call(take).status, Status::Ok);
+    EXPECT_EQ(scheduler->startedHelpers(), 0u);
+
+    ev.requestId = 3;
+    ev.sampleCount = 2 * options.batch.blockSize + 1;
+    ASSERT_EQ(client.call(ev).status, Status::Ok);
+    EXPECT_EQ(scheduler->startedHelpers(), scheduler->helpers());
+
+    server.stop();
+    EXPECT_EQ(scheduler->startedHelpers(), 0u);
 }
 
 TEST(ServeEquivalence, AdviseMatchesWalkingDecisionLogic)
