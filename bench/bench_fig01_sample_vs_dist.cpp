@@ -61,7 +61,9 @@ reportParallelSpeedup(unsigned threads, std::size_t n)
         counts.insert(threads);
     for (unsigned t : counts) {
         Rng rng(11);
-        core::ParallelSampler sampler(core::ParallelOptions{t, 4096});
+        core::BatchSampler sampler(
+            core::BatchOptions{4096}, nullptr,
+            std::make_shared<core::BlockScheduler>(t - 1));
         std::vector<double> samples;
         double seconds = bench::timeSeconds(
             [&] { samples = expr.takeSamples(n, rng, sampler); });

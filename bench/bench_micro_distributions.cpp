@@ -5,8 +5,9 @@
  * reweighting pipeline.
  *
  * --backend {auto,simd,scalar} pins the execution backend for the
- * bulk paths (BM_SampleManyGaussian, BM_FillDouble go through the
- * vectorized RNG-fill and ziggurat-accept kernels under auto/simd).
+ * bulk paths (BM_SampleManyGaussian goes through the vectorized
+ * ziggurat-accept kernel under auto/simd; BM_FillDouble is the scalar
+ * Rng fill on every backend).
  */
 
 #include <benchmark/benchmark.h>

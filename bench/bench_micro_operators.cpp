@@ -3,8 +3,9 @@
  * Microbenchmarks (google-benchmark): the runtime costs behind the
  * abstraction — graph construction, ancestral sampling at varying
  * depths, memoized shared nodes, conditional evaluation, E(), and
- * the parallel batch engine on a --threads-style axis (the benchmark
- * argument is the thread count).
+ * the batch engine over a BlockScheduler on a threads axis (the
+ * benchmark argument is the thread count: the caller plus
+ * threads - 1 helpers).
  *
  * --engine {tree,batch} selects the sampling engine for the
  * bulk-sampling benchmarks (BM_TakeSamples, BM_ExpectedValue, the
@@ -289,8 +290,9 @@ BM_ParallelTakeSamples(benchmark::State& state)
     const auto threads = static_cast<unsigned>(state.range(0));
     auto chain = buildChain(static_cast<int>(state.range(1)));
     Rng rng(8);
-    core::ParallelSampler sampler(
-        core::ParallelOptions{threads, 1024, optimizerOptions()});
+    core::BatchSampler sampler(
+        core::BatchOptions{1024, optimizerOptions()}, nullptr,
+        std::make_shared<core::BlockScheduler>(threads - 1));
     const std::size_t n = 10000;
     for (auto _ : state) {
         auto samples = chain.takeSamples(n, rng, sampler);
@@ -312,8 +314,9 @@ BM_ParallelConditional(benchmark::State& state)
     Rng rng(9);
     core::ConditionalOptions options;
     options.sprt.maxSamples = 1000;
-    core::ParallelSampler sampler(
-        core::ParallelOptions{threads, 256, optimizerOptions()});
+    core::BatchSampler sampler(
+        core::BatchOptions{256, optimizerOptions()}, nullptr,
+        std::make_shared<core::BlockScheduler>(threads - 1));
     for (auto _ : state)
         benchmark::DoNotOptimize(
             condition.pr(0.5, options, rng, sampler));

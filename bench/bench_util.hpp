@@ -125,9 +125,8 @@ backendFlag(int argc, char** argv)
 /**
  * Map a backendFlag() value onto PlanOptions::backend, flipping the
  * process-wide force-scalar switch as a side effect: "scalar" must
- * drop the RNG-fill and ziggurat layers (which sit below the plan and
- * have no per-plan toggle) to their scalar paths together with the
- * strips, so scalar-vs-simd comparisons measure the whole stack.
+ * drop the ziggurat layer (which sits below the plan and has no
+ * per-plan toggle) to its scalar path together with the strips, so scalar-vs-simd comparisons measure the whole stack.
  * "simd" likewise pins the plan to the kernel strips so simd-vs-jit
  * rows compare rungs rather than both resolving to the fragments.
  */

@@ -14,12 +14,14 @@
  * Determinism contract (see docs/API.md): output is a pure function
  * of (caller Rng snapshot, n, blockSize, graph shape) — the optimizer
  * passes do not change it (they are bit-exact; see PlanOptions).
- * Identical across runs, across BlockScheduler helper counts (blocks
- * may run on any thread; see core/block_scheduler.hpp) and across
- * engines sharing the same block partition — ParallelSampler at any
- * thread count with chunkSize == blockSize is bit-identical to
- * BatchSampler. Not bit-identical to the tree walk; the
- * statistical-equivalence suite pins both engines to the same law.
+ * Identical across runs and across BlockScheduler helper counts
+ * (blocks may run on any thread; see core/block_scheduler.hpp), so
+ * parallel sampling is this engine built over a scheduler:
+ * `BatchSampler(BatchOptions{blockSize}, cache,
+ * std::make_shared<BlockScheduler>(threads - 1))`, bit-identical to
+ * the same sampler without one. Not bit-identical to the tree walk;
+ * the statistical-equivalence suite pins both engines to the same
+ * law.
  * Memory footprint: columnCount() * blockSize elements per
  * workspace, where columnCount() is the number of *physical* columns
  * after buffer reuse (one workspace per engine, one more per
@@ -445,7 +447,10 @@ class BatchSampler
     /**
      * evaluateCondition against an already-resolved plan: one cache
      * lookup for the whole sequential test instead of one per
-     * evidence chunk.
+     * evidence chunk. Evidence comes in chunks of
+     * max(sprt.batchSize, 256) draws, part of the stream schedule
+     * like blockSize; a chunk wider than blockSize spreads over the
+     * scheduler's helpers like any other multi-block fill.
      */
     ConditionalResult
     evaluateConditionPlan(const std::shared_ptr<const BatchPlan>& plan,
@@ -454,18 +459,6 @@ class BatchSampler
     {
         const std::size_t chunk = std::max<std::size_t>(
             options.sprt.batchSize, std::size_t{256});
-        return evaluateConditionPlan(plan, threshold, options, rng,
-                                     chunk);
-    }
-
-    /** evaluateConditionPlan with an explicit evidence chunk size
-     *  (part of the stream schedule, like blockSize). */
-    ConditionalResult
-    evaluateConditionPlan(const std::shared_ptr<const BatchPlan>& plan,
-                          double threshold,
-                          const ConditionalOptions& options, Rng& rng,
-                          std::size_t chunk)
-    {
         auto result = evaluateConditionChunked(
             [&](std::size_t offset, std::size_t count,
                 std::uint8_t* out) {

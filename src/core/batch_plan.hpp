@@ -56,7 +56,8 @@
  * two engines to the same law statistically).
  *
  * Lowering is driven by Node<T>::lowerInto (core/node.hpp); execution
- * by BatchSampler / ParallelSampler (core/batch.hpp, core/parallel.hpp).
+ * by BatchSampler (core/batch.hpp), serially or over a
+ * BlockScheduler (core/block_scheduler.hpp).
  */
 
 #ifndef UNCERTAIN_CORE_BATCH_PLAN_HPP

@@ -173,8 +173,8 @@ evaluateCondition(Sampler&& draw, double threshold,
 }
 
 /**
- * Chunk-wise conditional evaluation, the parallel engine's entry
- * point. @p drawChunk is a callable
+ * Chunk-wise conditional evaluation, the batch engine's entry
+ * point (core/batch.hpp). @p drawChunk is a callable
  * `void(std::size_t offset, std::size_t count, std::uint8_t* out)`
  * filling out[0..count) with the Bernoulli observations for sample
  * indices [offset, offset + count) — typically drawn concurrently

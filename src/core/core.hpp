@@ -14,7 +14,6 @@
 #include "core/inspect.hpp"     // IWYU pragma: export
 #include "core/node.hpp"        // IWYU pragma: export
 #include "core/operators.hpp"   // IWYU pragma: export
-#include "core/parallel.hpp"    // IWYU pragma: export
 #include "core/ordering.hpp"    // IWYU pragma: export
 #include "core/uncertain.hpp"   // IWYU pragma: export
 #include "exact/exact.hpp"      // IWYU pragma: export

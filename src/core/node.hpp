@@ -16,8 +16,9 @@
  * The memo lives in the SampleContext, not in the node: nodes are
  * fully immutable after construction, so any number of contexts (and
  * therefore threads) may sample one shared graph concurrently, each
- * with its own private memo table. See core/parallel.hpp for the
- * batch engine built on this property.
+ * with its own private memo table. The batch engine of
+ * core/batch.hpp relies on the same property when a BlockScheduler
+ * runs its blocks on several threads.
  *
  * Besides the per-sample tree walk, every node knows how to lower
  * itself into the columnar batch plan of core/batch_plan.hpp

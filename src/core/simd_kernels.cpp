@@ -14,17 +14,14 @@
  * CMakeLists.txt): neither the emulation loops nor the tails may
  * fuse mul+add into FMA, because the explicit vector code uses
  * separate mul and add instructions and the two must round
- *
- * identically. The xoshiro256** step is reimplemented here (7 lines)
- * rather than calling support/rng.cpp, because this target sits
- * BELOW uncertain_support in the link order; the algorithm is pinned
- * by tests/core/simd_backend_test.cpp against Rng's own outputs.
+ * identically.
  */
 
 #include "core/simd_kernels.hpp"
 
 #include <atomic>
 #include <cstring>
+#include <type_traits>
 
 #if !defined(UNCERTAIN_SIMD_DISABLED) && defined(__GNUC__) \
     && (defined(__x86_64__) || defined(__i386__) || defined(_M_X64))
@@ -74,44 +71,36 @@ clampIsa(Isa isa)
     return static_cast<Isa>(v);
 }
 
-inline std::uint64_t
-rotl64(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-/** One xoshiro256** transition (Blackman & Vigna; mirrors
- *  Xoshiro256StarStar::next in support/rng.cpp). */
-inline void
-xoStep(std::uint64_t s[4])
-{
-    const std::uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl64(s[3], 45);
-}
-
-/** The ** scrambler: the output for the current state. */
-inline std::uint64_t
-xoOutput(const std::uint64_t s[4])
-{
-    return rotl64(s[1] * 5, 7) * 9;
-}
-
-inline double
-wordToDouble(std::uint64_t x, bool open)
-{
-    // Mirrors Rng::nextDouble / nextDoubleOpen exactly.
-    return open ? (static_cast<double>(x >> 11) + 0.5) * 0x1.0p-53
-                : static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
 // =====================================================================
 // Scalar emulation: the reference semantics for every kernel.
 // =====================================================================
+
+// Integer add/sub/mul wrap modulo 2^width, which is what the vector
+// instructions compute. Signed overflow is UB in C++, so the scalar
+// bodies (and the vector paths' tails) do the arithmetic unsigned.
+template <typename S>
+inline S
+wrapAdd(S a, S b)
+{
+    using U = std::make_unsigned_t<S>;
+    return static_cast<S>(static_cast<U>(a) + static_cast<U>(b));
+}
+
+template <typename S>
+inline S
+wrapSub(S a, S b)
+{
+    using U = std::make_unsigned_t<S>;
+    return static_cast<S>(static_cast<U>(a) - static_cast<U>(b));
+}
+
+template <typename S>
+inline S
+wrapMul(S a, S b)
+{
+    using U = std::make_unsigned_t<S>;
+    return static_cast<S>(static_cast<U>(a) * static_cast<U>(b));
+}
 
 void
 binaryF64Scalar(BinF64 op, const double* a, const double* b,
@@ -248,15 +237,15 @@ binaryI32Scalar(BinI32 op, const std::int32_t* a, const std::int32_t* b,
     switch (op) {
     case BinI32::Add:
         for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] + b[i];
+            out[i] = wrapAdd(a[i], b[i]);
         break;
     case BinI32::Sub:
         for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] - b[i];
+            out[i] = wrapSub(a[i], b[i]);
         break;
     case BinI32::Mul:
         for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] * b[i];
+            out[i] = wrapMul(a[i], b[i]);
         break;
     case BinI32::Min:
         for (std::size_t i = 0; i < n; ++i)
@@ -308,11 +297,11 @@ binaryI64Scalar(BinI64 op, const std::int64_t* a, const std::int64_t* b,
     switch (op) {
     case BinI64::Add:
         for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] + b[i];
+            out[i] = wrapAdd(a[i], b[i]);
         break;
     case BinI64::Sub:
         for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] - b[i];
+            out[i] = wrapSub(a[i], b[i]);
         break;
     }
 }
@@ -351,32 +340,6 @@ selectF64Scalar(const std::uint8_t* c, const double* x, const double* y,
 {
     for (std::size_t i = 0; i < n; ++i)
         out[i] = c[i] ? x[i] : y[i];
-}
-
-void
-xoshiroFillU64Scalar(std::uint64_t state[4], std::uint64_t* out,
-                     std::size_t n)
-{
-    // The state lives in locals: out and state are both uint64_t*, so
-    // stepping through state[] would reload and store all four words
-    // around every output store.
-    std::uint64_t s[4] = {state[0], state[1], state[2], state[3]};
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = xoOutput(s);
-        xoStep(s);
-    }
-    for (int k = 0; k < 4; ++k)
-        state[k] = s[k];
-}
-
-void
-xoshiroFillDoubleScalar(std::uint64_t state[4], double* out,
-                        std::size_t n, bool open)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = wordToDouble(xoOutput(state), open);
-        xoStep(state);
-    }
 }
 
 /** Scalar ziggurat accept over words [i0, n), appending rejects. */
@@ -1041,166 +1004,6 @@ selectF64Avx2(const std::uint8_t* c, const double* x, const double* y,
         selectF64Scalar(c + i, x + i, y + i, out + i, n - i);
 }
 
-// ---- xoshiro256** leapfrog fills -------------------------------------
-
-UNCERTAIN_TARGET_AVX2 inline __m256i
-xoRotl(__m256i x, int k)
-{
-    return _mm256_or_si256(_mm256_slli_epi64(x, k),
-                           _mm256_srli_epi64(x, 64 - k));
-}
-
-/** rotl(s1 * 5, 7) * 9 over 4 lanes (shift-add, no 64-bit multiply). */
-UNCERTAIN_TARGET_AVX2 inline __m256i
-xoScramble(__m256i s1)
-{
-    const __m256i x5 =
-        _mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2));
-    const __m256i rot = xoRotl(x5, 7);
-    return _mm256_add_epi64(rot, _mm256_slli_epi64(rot, 3));
-}
-
-/**
- * Leapfrog engine state: lane j of (s0..s3) holds the serial state j
- * steps ahead. One scramble emits outputs 4t..4t+3; four vector
- * transitions advance every lane 4 steps. Lane 0 retraces the exact
- * serial orbit, so the post-fill engine state is read back from it.
- */
-struct XoLanesAvx2
-{
-    __m256i s0, s1, s2, s3;
-};
-
-UNCERTAIN_TARGET_AVX2 inline XoLanesAvx2
-xoEnterLanes(std::uint64_t state[4])
-{
-    std::uint64_t lane[4][4];
-    std::uint64_t cur[4] = {state[0], state[1], state[2], state[3]};
-    for (int j = 0; j < 4; ++j) {
-        for (int w = 0; w < 4; ++w)
-            lane[j][w] = cur[w];
-        xoStep(cur);
-    }
-    XoLanesAvx2 v;
-    v.s0 = _mm256_setr_epi64x(
-        static_cast<long long>(lane[0][0]),
-        static_cast<long long>(lane[1][0]),
-        static_cast<long long>(lane[2][0]),
-        static_cast<long long>(lane[3][0]));
-    v.s1 = _mm256_setr_epi64x(
-        static_cast<long long>(lane[0][1]),
-        static_cast<long long>(lane[1][1]),
-        static_cast<long long>(lane[2][1]),
-        static_cast<long long>(lane[3][1]));
-    v.s2 = _mm256_setr_epi64x(
-        static_cast<long long>(lane[0][2]),
-        static_cast<long long>(lane[1][2]),
-        static_cast<long long>(lane[2][2]),
-        static_cast<long long>(lane[3][2]));
-    v.s3 = _mm256_setr_epi64x(
-        static_cast<long long>(lane[0][3]),
-        static_cast<long long>(lane[1][3]),
-        static_cast<long long>(lane[2][3]),
-        static_cast<long long>(lane[3][3]));
-    return v;
-}
-
-UNCERTAIN_TARGET_AVX2 inline void
-xoAdvance4(XoLanesAvx2& v)
-{
-    for (int k = 0; k < 4; ++k) {
-        const __m256i t = _mm256_slli_epi64(v.s1, 17);
-        v.s2 = _mm256_xor_si256(v.s2, v.s0);
-        v.s3 = _mm256_xor_si256(v.s3, v.s1);
-        v.s1 = _mm256_xor_si256(v.s1, v.s2);
-        v.s0 = _mm256_xor_si256(v.s0, v.s3);
-        v.s2 = _mm256_xor_si256(v.s2, t);
-        v.s3 = xoRotl(v.s3, 45);
-    }
-}
-
-UNCERTAIN_TARGET_AVX2 inline void
-xoExitLanes(const XoLanesAvx2& v, std::uint64_t state[4])
-{
-    // Lane 0 is the serial state after all vectorized steps.
-    state[0] =
-        static_cast<std::uint64_t>(_mm256_extract_epi64(v.s0, 0));
-    state[1] =
-        static_cast<std::uint64_t>(_mm256_extract_epi64(v.s1, 0));
-    state[2] =
-        static_cast<std::uint64_t>(_mm256_extract_epi64(v.s2, 0));
-    state[3] =
-        static_cast<std::uint64_t>(_mm256_extract_epi64(v.s3, 0));
-}
-
-UNCERTAIN_TARGET_AVX2 void
-xoshiroFillU64Avx2(std::uint64_t state[4], std::uint64_t* out,
-                   std::size_t n)
-{
-    if (n < 8) {
-        xoshiroFillU64Scalar(state, out, n);
-        return;
-    }
-    XoLanesAvx2 v = xoEnterLanes(state);
-    std::size_t i = 0;
-    const std::size_t vecEnd = n & ~std::size_t{3};
-    for (; i < vecEnd; i += 4) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                            xoScramble(v.s1));
-        xoAdvance4(v);
-    }
-    xoExitLanes(v, state);
-    if (i < n)
-        xoshiroFillU64Scalar(state, out + i, n - i);
-}
-
-/**
- * Exact u64 -> double of y = word >> 11 (< 2^53): convert the 21-bit
- * high and 32-bit low halves separately with the 2^52 bias trick and
- * recombine as hi * 2^32 + lo — every step exact, so the result is
- * bit-identical to static_cast<double>(y).
- */
-UNCERTAIN_TARGET_AVX2 inline __m256d
-wordsToDoubleAvx2(__m256i words, bool open)
-{
-    const __m256i bias = _mm256_set1_epi64x(0x4330000000000000LL);
-    const __m256d biasD = _mm256_set1_pd(4503599627370496.0); // 2^52
-    const __m256i y = _mm256_srli_epi64(words, 11);
-    const __m256i hi = _mm256_srli_epi64(y, 32);
-    const __m256i lo =
-        _mm256_and_si256(y, _mm256_set1_epi64x(0xFFFFFFFFLL));
-    const __m256d hiD = _mm256_sub_pd(
-        _mm256_castsi256_pd(_mm256_or_si256(hi, bias)), biasD);
-    const __m256d loD = _mm256_sub_pd(
-        _mm256_castsi256_pd(_mm256_or_si256(lo, bias)), biasD);
-    __m256d d = _mm256_add_pd(
-        _mm256_mul_pd(hiD, _mm256_set1_pd(4294967296.0)), loD);
-    if (open)
-        d = _mm256_add_pd(d, _mm256_set1_pd(0.5));
-    return _mm256_mul_pd(d, _mm256_set1_pd(0x1.0p-53));
-}
-
-UNCERTAIN_TARGET_AVX2 void
-xoshiroFillDoubleAvx2(std::uint64_t state[4], double* out,
-                      std::size_t n, bool open)
-{
-    if (n < 8) {
-        xoshiroFillDoubleScalar(state, out, n, open);
-        return;
-    }
-    XoLanesAvx2 v = xoEnterLanes(state);
-    std::size_t i = 0;
-    const std::size_t vecEnd = n & ~std::size_t{3};
-    for (; i < vecEnd; i += 4) {
-        _mm256_storeu_pd(out + i,
-                         wordsToDoubleAvx2(xoScramble(v.s1), open));
-        xoAdvance4(v);
-    }
-    xoExitLanes(v, state);
-    if (i < n)
-        xoshiroFillDoubleScalar(state, out + i, n - i, open);
-}
-
 // ---- ziggurat fast-accept pass ---------------------------------------
 
 UNCERTAIN_TARGET_AVX2 std::size_t
@@ -1634,34 +1437,6 @@ selectF64(Isa isa, const std::uint8_t* c, const double* x,
 #endif
     (void)isa;
     selectF64Scalar(c, x, y, out, n);
-}
-
-void
-xoshiroFillU64(Isa isa, std::uint64_t state[4], std::uint64_t* out,
-               std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (clampIsa(isa) == Isa::Avx2) {
-        xoshiroFillU64Avx2(state, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    xoshiroFillU64Scalar(state, out, n);
-}
-
-void
-xoshiroFillDouble(Isa isa, std::uint64_t state[4], double* out,
-                  std::size_t n, bool open)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (clampIsa(isa) == Isa::Avx2) {
-        xoshiroFillDoubleAvx2(state, out, n, open);
-        return;
-    }
-#endif
-    (void)isa;
-    xoshiroFillDoubleScalar(state, out, n, open);
 }
 
 std::size_t

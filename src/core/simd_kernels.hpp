@@ -4,8 +4,8 @@
  * CPU-feature dispatch behind them.
  *
  * This header (and its .cpp) is the bottom of the SIMD layer: it has
- * NO dependencies on the rest of the library — support/ (Rng) and
- * random/ (the ziggurat) both call down into it, and core/simd.hpp
+ * NO dependencies on the rest of the library — random/ (the
+ * ziggurat) calls down into it, and core/simd.hpp
  * builds the plan-facing trait layer on top of it. It is compiled
  * into its own CMake target (uncertain_simd) with -ffp-contract=off
  * so that no kernel, scalar-emulation or vector, ever fuses a
@@ -63,9 +63,8 @@ Isa activeIsa();
 /**
  * Process-wide kill switch: force activeIsa() to Scalar. Used by the
  * --backend scalar bench axis and the equivalence tests so that the
- * RNG-fill and ziggurat layers (which are below the plan and have no
- * per-plan toggle) drop to their scalar paths together with the
- * strips. Not a per-call override: kernels invoked with an explicit
+ * ziggurat layer (which is below the plan and has no per-plan
+ * toggle) drops to its scalar path together with the strips. Not a per-call override: kernels invoked with an explicit
  * non-scalar Isa still vectorize.
  */
 void setForceScalar(bool force);
@@ -142,32 +141,6 @@ void negF64(Isa isa, const double* a, double* out, std::size_t n);
 /** out[i] = c[i] ? x[i] : y[i] with c a 0/1 byte column. */
 void selectF64(Isa isa, const std::uint8_t* c, const double* x,
                const double* y, double* out, std::size_t n);
-
-// ---- bulk RNG fills --------------------------------------------------
-
-/**
- * Write the next @p n outputs of the xoshiro256** stream whose
- * 256-bit state is @p state (modified in place to the post-fill
- * state), in exactly the order a scalar next() loop would produce
- * them. The vector path runs 4 leapfrogged copies of the engine —
- * lane j holds the state j steps ahead — so one vector scrambler
- * yields 4 consecutive outputs per iteration while every lane
- * retraces the identical serial orbit; output and final state are
- * bit-identical to the scalar loop by construction.
- */
-void xoshiroFillU64(Isa isa, std::uint64_t state[4], std::uint64_t* out,
-                    std::size_t n);
-
-/**
- * As xoshiroFillU64, but mapping each word to a double exactly as
- * Rng::nextDouble (open == false: (x >> 11) * 2^-53) or
- * Rng::nextDoubleOpen (open == true: ((x >> 11) + 0.5) * 2^-53)
- * would. The vector u64 -> f64 conversion is exact (split into
- * 21-bit and 32-bit halves, each converted via the 2^52 magic-bias
- * trick), so results are bit-identical to the scalar casts.
- */
-void xoshiroFillDouble(Isa isa, std::uint64_t state[4], double* out,
-                       std::size_t n, bool open);
 
 // ---- ziggurat Gaussian fast-accept pass ------------------------------
 

@@ -33,7 +33,6 @@
 #include "core/batch.hpp"
 #include "core/conditional.hpp"
 #include "core/node.hpp"
-#include "core/parallel.hpp"
 #include "random/distribution.hpp"
 #include "support/rng.hpp"
 
@@ -206,19 +205,11 @@ class Uncertain
     }
 
     /**
-     * Draw @p n samples with the parallel engine: column blocks of
-     * the batch are sampled concurrently by @p sampler's threads.
-     * Output is bit-identical for any thread count (see
-     * core/parallel.hpp).
+     * Draw @p n samples with the columnar batch engine; a sampler
+     * built over a BlockScheduler spreads the blocks across threads.
+     * Output is bit-identical for any helper count (see
+     * core/batch.hpp).
      */
-    std::vector<T>
-    takeSamples(std::size_t n, Rng& rng,
-                core::ParallelSampler& sampler) const
-    {
-        return sampler.takeSamples(node_, n, rng);
-    }
-
-    /** Draw @p n samples with the serial columnar batch engine. */
     std::vector<T>
     takeSamples(std::size_t n, Rng& rng,
                 core::BatchSampler& sampler) const
@@ -270,15 +261,6 @@ class Uncertain
         requires core::Accumulable<T> && (!std::same_as<T, bool>)
     {
         return expectedValue(n, globalRng());
-    }
-
-    /** Mean of @p n samples drawn on the parallel engine. */
-    T
-    expectedValue(std::size_t n, Rng& rng,
-                  core::ParallelSampler& sampler) const
-        requires core::Accumulable<T> && (!std::same_as<T, bool>)
-    {
-        return sampler.expectedValue(node_, n, rng);
     }
 
     /** Mean of @p n samples drawn on the batch engine. */
@@ -387,34 +369,9 @@ class Uncertain
     }
 
     /**
-     * Conditional evaluation with chunk-parallel evidence draws: the
-     * sequential test consults its boundaries between chunks, so the
-     * sample-size behavior stays within one chunk of the serial test.
-     */
-    core::ConditionalResult
-    evaluate(double threshold, const core::ConditionalOptions& options,
-             Rng& rng, core::ParallelSampler& sampler) const
-        requires std::same_as<T, bool>
-    {
-        if (auto closed = core::detail::tryExactConditional(
-                node_, threshold, options))
-            return *closed;
-        return sampler.evaluateCondition(node_, threshold, options,
-                                         rng);
-    }
-
-    /** pr() with chunk-parallel evidence draws. */
-    bool
-    pr(double threshold, const core::ConditionalOptions& options,
-       Rng& rng, core::ParallelSampler& sampler) const
-        requires std::same_as<T, bool>
-    {
-        return evaluate(threshold, options, rng, sampler).toBool();
-    }
-
-    /**
      * Conditional evaluation with batched evidence columns on the
-     * serial columnar engine (see core/batch.hpp).
+     * columnar engine (see core/batch.hpp). The evidence stream does
+     * not depend on the sampler's helper count.
      */
     core::ConditionalResult
     evaluate(double threshold, const core::ConditionalOptions& options,
@@ -476,15 +433,6 @@ class Uncertain
         requires std::same_as<T, bool>
     {
         return probability(n, globalRng());
-    }
-
-    /** Point estimate of Pr[this] from @p n parallel samples. */
-    double
-    probability(std::size_t n, Rng& rng,
-                core::ParallelSampler& sampler) const
-        requires std::same_as<T, bool>
-    {
-        return sampler.probability(node_, n, rng);
     }
 
     /** Point estimate of Pr[this] from @p n batched samples. */

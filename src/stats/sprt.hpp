@@ -73,7 +73,7 @@ class Sprt
     /**
      * Fold in a pre-drawn chunk of observations in index order,
      * stopping at the first terminal decision. This is how the
-     * parallel engine consumes batches: the chunk is drawn eagerly
+     * batch engine consumes evidence: the chunk is drawn eagerly
      * (possibly concurrently), but the boundaries see observations in
      * exactly the order a serial test would, so the decision — and
      * samplesUsed() — match a serial SPRT fed the same sequence.

@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "core/simd_kernels.hpp"
 #include "support/error.hpp"
 
 namespace uncertain {
@@ -13,6 +12,20 @@ inline std::uint64_t
 rotl64(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
+}
+
+/** 53 high bits scaled by 2^-53: the canonical [0, 1) double. */
+inline double
+wordToDouble(std::uint64_t x)
+{
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+/** (x + 0.5) * 2^-53 lies strictly inside (0, 1) for all x. */
+inline double
+wordToDoubleOpen(std::uint64_t x)
+{
+    return (static_cast<double>(x >> 11) + 0.5) * 0x1.0p-53;
 }
 
 } // namespace
@@ -98,15 +111,13 @@ Pcg32::next()
 double
 Rng::nextDouble()
 {
-    // 53 high bits scaled by 2^-53 gives the canonical [0, 1) double.
-    return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
+    return wordToDouble(nextU64());
 }
 
 double
 Rng::nextDoubleOpen()
 {
-    // (x + 0.5) * 2^-53 lies strictly inside (0, 1) for all x.
-    return (static_cast<double>(nextU64() >> 11) + 0.5) * 0x1.0p-53;
+    return wordToDoubleOpen(nextU64());
 }
 
 double
@@ -137,36 +148,40 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-// The bulk fills go through the simd kernel layer, pinned to the
-// scalar implementation. The leapfrogged vector fills exist and are
-// bit-identical (tests drive them with an explicit Isa), but the
-// xoshiro transition is a short serial dependency chain the scalar
-// engine already retires at ~3 cycles/word; the 4-lane leapfrog must
-// run four vector transitions per pack to keep every lane on the
-// serial orbit, so it saves no work and measures ~25% slower on
-// issue-width-bound AVX2 cores. Since the output is bit-identical
-// either way, preferring the scalar loop here is purely a speed
-// choice and invisible to every caller.
+// The bulk fills step a local copy of the engine: out is a
+// uint64_t*/double* the compiler cannot prove disjoint from engine_,
+// so stepping the member would reload and store all four state words
+// around every output store. They are scalar on purpose: the xoshiro
+// transition is a serial dependency chain, so a 4-lane leapfrogged
+// AVX2 fill must run four vector transitions per pack to keep every
+// lane on the serial orbit. It saves no work and measured ~1.5x
+// slower than this loop on a 4-vCPU AVX2 x86-64 machine.
 
 void
 Rng::fillU64(std::uint64_t* out, std::size_t n)
 {
-    simd::xoshiroFillU64(simd::Isa::Scalar, engine_.state_.data(), out,
-                         n);
+    Xoshiro256StarStar engine = engine_;
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = engine.next();
+    engine_ = engine;
 }
 
 void
 Rng::fillDouble(double* out, std::size_t n)
 {
-    simd::xoshiroFillDouble(simd::Isa::Scalar, engine_.state_.data(),
-                            out, n, /*open=*/false);
+    Xoshiro256StarStar engine = engine_;
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = wordToDouble(engine.next());
+    engine_ = engine;
 }
 
 void
 Rng::fillDoubleOpen(double* out, std::size_t n)
 {
-    simd::xoshiroFillDouble(simd::Isa::Scalar, engine_.state_.data(),
-                            out, n, /*open=*/true);
+    Xoshiro256StarStar engine = engine_;
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = wordToDoubleOpen(engine.next());
+    engine_ = engine;
 }
 
 namespace {

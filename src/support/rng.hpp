@@ -94,11 +94,6 @@ class Xoshiro256StarStar
     }
 
   private:
-    // Rng's bulk fills hand the raw state to the leapfrogged SIMD
-    // fill kernels (core/simd_kernels.hpp), which advance it in place
-    // exactly as the equivalent run of next() calls would.
-    friend class Rng;
-
     std::array<std::uint64_t, 4> state_;
 };
 

@@ -11,9 +11,9 @@
  *     occurrences of X in (Y + X) + X read one column, so the
  *     residual B - Y - 2X is identically zero and Var[(Y+X)+X] = 5.
  *  3. Engine determinism — same seed, same output, across block
- *     boundaries and plan-cache hits; ParallelSampler at any thread
- *     count is bit-identical to BatchSampler at chunkSize ==
- *     blockSize.
+ *     boundaries and plan-cache hits; a BatchSampler over a
+ *     BlockScheduler at any thread count is bit-identical to one
+ *     without a scheduler.
  *  4. Decision parity — batched-evidence SPRT conditionals agree with
  *     the serial SPRT at the paper's operating points.
  */
@@ -173,16 +173,17 @@ TEST(BatchEquivalence, BlockBoundariesDoNotDistortTheLaw)
 
 TEST(BatchEquivalence, ParallelEngineMatchesBatchBitExactly)
 {
-    // Acceptance criterion: ParallelSampler (inline 1-thread path and
-    // pooled path alike) is the batch engine over a different
-    // scheduler, so at chunkSize == blockSize outputs are identical
-    // bit for bit.
+    // Acceptance criterion: the batch engine over a BlockScheduler
+    // (no helpers at one thread, helpers beyond) runs the same blocks
+    // as the serial loop, so outputs are identical bit for bit.
     auto expr = sharedLeafGraph();
     const std::size_t n = 10000;
     auto batch = batchSamples(expr, n, 1016, 512);
     for (unsigned threads : {1u, 2u, 8u}) {
         Rng rng = testing::testRng(1016);
-        ParallelSampler parallel(ParallelOptions{threads, 512});
+        BatchSampler parallel(
+            BatchOptions{512}, nullptr,
+            std::make_shared<BlockScheduler>(threads - 1));
         auto samples = expr.takeSamples(n, rng, parallel);
         EXPECT_EQ(batch, samples) << "threads " << threads;
     }

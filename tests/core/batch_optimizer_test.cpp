@@ -302,11 +302,11 @@ TEST(BatchOptimizer, AllToggleCombinationsAreBitIdentical)
     }
 }
 
-TEST(BatchOptimizer, ParallelSamplerRunsOptimizedPlansUnchanged)
+TEST(BatchOptimizer, ThreadedSamplerRunsOptimizedPlansUnchanged)
 {
-    // ParallelSampler at chunkSize == blockSize is bit-identical to
-    // BatchSampler; that must keep holding with the optimizer on in
-    // one engine and off in the other.
+    // A BatchSampler over a BlockScheduler is bit-identical to one
+    // without; that must keep holding with the optimizer on in the
+    // threaded sampler and off in the serial one.
     auto expr = representativeGraph();
     const std::size_t n = 6000;
 
@@ -316,8 +316,9 @@ TEST(BatchOptimizer, ParallelSamplerRunsOptimizedPlansUnchanged)
 
     for (unsigned threads : {1u, 2u, 4u}) {
         Rng rng = testing::testRng(53);
-        ParallelSampler parallel(
-            ParallelOptions{threads, 512, PlanOptions{}});
+        BatchSampler parallel(
+            BatchOptions{512, PlanOptions{}}, nullptr,
+            std::make_shared<BlockScheduler>(threads - 1));
         auto chunked = expr.takeSamples(n, rng, parallel);
         EXPECT_EQ(chunked, serial) << "threads " << threads;
     }
@@ -332,8 +333,6 @@ TEST(BatchOptimizer, OptimizerIsOnByDefault)
     EXPECT_TRUE(defaults.reuseBuffers);
     BatchOptions batchDefaults;
     EXPECT_TRUE(batchDefaults.optimizer.cse);
-    ParallelOptions parallelDefaults;
-    EXPECT_TRUE(parallelDefaults.optimizer.reuseBuffers);
 }
 
 } // namespace

@@ -350,7 +350,8 @@ TEST(BlockScheduler, DefaultThreadCountsFollowTheAffinityMask)
 
     const unsigned cpus = availableCpus();
     const std::size_t threadsBefore = processThreads();
-    ParallelSampler sampler(ParallelOptions{0, kBlock});
+    auto scheduler = std::make_shared<BlockScheduler>(cpus - 1);
+    BatchSampler sampler(BatchOptions{kBlock}, nullptr, scheduler);
     Rng rng = testing::testRng(1500);
     const std::size_t drawn =
         sampler.takeSamples(sharedLeafChain().node(), 8 * kBlock, rng)
@@ -363,7 +364,7 @@ TEST(BlockScheduler, DefaultThreadCountsFollowTheAffinityMask)
 
     ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
     EXPECT_EQ(cpus, 1u);
-    EXPECT_EQ(sampler.threads(), 1u);
+    EXPECT_EQ(scheduler->helpers(), 0u);
     EXPECT_EQ(drawn, 8 * kBlock);
     EXPECT_EQ(threadsAfter, threadsBefore);
     EXPECT_EQ(serverHelpers, 0u);

@@ -1,12 +1,14 @@
 /**
  * @file
- * Statistical-equivalence suite for the parallel sampling engine: the
- * refactor must change nothing observable. Three pillars:
+ * Statistical-equivalence suite for parallel sampling: a BatchSampler
+ * built over a BlockScheduler (the caller plus threads - 1 helpers)
+ * must change nothing observable. Three pillars:
  *
  *  1. Bit-exact determinism — a fixed seed produces the identical
  *     sample vector at 1, 2, and 8 threads (block-keyed split
- *     streams), and the parallel engine is bit-identical to the
- *     serial BatchSampler at the same block size.
+ *     streams), and every query (takeSamples, expectedValue,
+ *     probability, evaluate) is bit-identical to the same sampler
+ *     without a scheduler.
  *  2. Distributional equivalence — two-sample KS tests at
  *     testing::kKsAlpha between serial and parallel sample sets on
  *     the Figure 8 graph topologies (independent leaves, shared
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -67,13 +70,22 @@ sharedLeafGraph()
     return (y + x) + x;
 }
 
+/** A sampler whose blocks run on @p threads threads: the caller
+ *  plus a scheduler of threads - 1 helpers. */
+BatchSampler
+threadedSampler(unsigned threads, std::size_t blockSize)
+{
+    return BatchSampler(BatchOptions{blockSize}, nullptr,
+                        std::make_shared<BlockScheduler>(threads - 1));
+}
+
 std::vector<double>
 parallelSamples(const Uncertain<double>& expr, std::size_t n,
                 unsigned threads, std::uint64_t seed,
-                std::size_t chunk = 256)
+                std::size_t blockSize = 256)
 {
     Rng rng = testing::testRng(seed);
-    ParallelSampler sampler(ParallelOptions{threads, chunk});
+    BatchSampler sampler = threadedSampler(threads, blockSize);
     return expr.takeSamples(n, rng, sampler);
 }
 
@@ -95,11 +107,10 @@ TEST(ParallelEquivalence, BitExactAcrossThreadCounts)
 
 TEST(ParallelEquivalence, BitExactToSerialBatchSamplerAtEqualBlockSize)
 {
-    // The block partition defines the stream family, so the parallel
-    // engine at any thread count must reproduce the serial columnar
-    // engine exactly when chunkSize == blockSize. This is also the
-    // regression test for the threads == 1 inline fast path: with the
-    // pool bypassed, the chunk loop must still be the same execution.
+    // The block partition defines the stream family, so a scheduler
+    // at any thread count must reproduce the sampler without one.
+    // This is also the regression test for the threads == 1 inline
+    // path: a scheduler with no helpers runs the same serial loop.
     auto expr = sharedLeafGraph();
     const std::size_t n = 5000;
     Rng batchRng = testing::testRng(801);
@@ -111,11 +122,70 @@ TEST(ParallelEquivalence, BitExactToSerialBatchSamplerAtEqualBlockSize)
     }
 }
 
+TEST(ParallelEquivalence, EveryQueryBitExactAcrossHelperCounts)
+{
+    // One sampler configuration, four schedules: no scheduler, and
+    // schedulers of 1, 3 and 7 helpers. At blockSize 64 a 256-draw
+    // evidence chunk spans four blocks, so the conditional's evidence
+    // really runs on the helpers, and its stream (like every other
+    // query's) must not depend on how many there are.
+    auto expr = sharedLeafGraph();
+    auto cond = expr > 0.3;
+    ConditionalOptions options;
+    options.sprt.maxSamples = 3000;
+    struct Answers
+    {
+        std::vector<double> samples;
+        double mean;
+        double probability;
+        ConditionalResult conditional;
+    };
+    auto run = [&](std::shared_ptr<BlockScheduler> scheduler) {
+        BatchSampler sampler(BatchOptions{64}, nullptr,
+                             std::move(scheduler));
+        Rng rng = testing::testRng(815);
+        Answers a;
+        a.samples = expr.takeSamples(3000, rng, sampler);
+        a.mean = expr.expectedValue(3000, rng, sampler);
+        a.probability = cond.probability(3000, rng, sampler);
+        a.conditional = cond.evaluate(0.45, options, rng, sampler);
+        return a;
+    };
+    // Pr[(Y + X) + X > 0.3] ~ 0.447 sits near the 0.45 threshold, so
+    // the test often needs more than one chunk; even the first chunk
+    // spans four blocks.
+    const Answers serial = run(nullptr);
+    for (unsigned helpers : {1u, 3u, 7u}) {
+        const Answers threaded =
+            run(std::make_shared<BlockScheduler>(helpers));
+        ASSERT_EQ(serial.samples.size(), threaded.samples.size());
+        EXPECT_EQ(0, std::memcmp(serial.samples.data(),
+                                 threaded.samples.data(),
+                                 serial.samples.size() * sizeof(double)))
+            << "helpers " << helpers;
+        EXPECT_EQ(0, std::memcmp(&serial.mean, &threaded.mean,
+                                 sizeof(double)))
+            << "helpers " << helpers;
+        EXPECT_EQ(serial.probability, threaded.probability)
+            << "helpers " << helpers;
+        EXPECT_EQ(serial.conditional.decision,
+                  threaded.conditional.decision)
+            << "helpers " << helpers;
+        EXPECT_EQ(serial.conditional.samplesUsed,
+                  threaded.conditional.samplesUsed)
+            << "helpers " << helpers;
+        EXPECT_EQ(0, std::memcmp(&serial.conditional.estimate,
+                                 &threaded.conditional.estimate,
+                                 sizeof(double)))
+            << "helpers " << helpers;
+    }
+}
+
 TEST(ParallelEquivalence, RepeatedCallsAdvanceTheStreamFamily)
 {
     auto expr = gaussianLeaf(0.0, 1.0);
     Rng rng = testing::testRng(802);
-    ParallelSampler sampler(ParallelOptions{2, 256});
+    BatchSampler sampler = threadedSampler(2, 256);
     auto first = expr.takeSamples(1000, rng, sampler);
     auto second = expr.takeSamples(1000, rng, sampler);
     EXPECT_NE(first, second);
@@ -188,8 +258,7 @@ TEST(ParallelEquivalence, ExpectedValueBitExactAcrossThreadCounts)
     unsigned threadCounts[3] = {1, 2, 8};
     for (int i = 0; i < 3; ++i) {
         Rng rng = testing::testRng(812);
-        ParallelSampler sampler(
-            ParallelOptions{threadCounts[i], 256});
+        BatchSampler sampler = threadedSampler(threadCounts[i], 256);
         results[i] = expr.expectedValue(20000, rng, sampler);
     }
     EXPECT_DOUBLE_EQ(results[0], results[1]);
@@ -205,7 +274,7 @@ TEST(ParallelEquivalence, ProbabilityMatchesSerialEstimate)
     Rng serialRng = testing::testRng(813);
     double serial = cond.probability(n, serialRng);
     Rng parallelRng = testing::testRng(814);
-    ParallelSampler sampler(ParallelOptions{8, 512});
+    BatchSampler sampler = threadedSampler(8, 512);
     double parallel = cond.probability(n, parallelRng, sampler);
     EXPECT_NEAR(parallel, serial,
                 2.0 * testing::proportionTolerance(0.58, n));
@@ -223,7 +292,7 @@ TEST(ParallelEquivalence, SprtDecisionParityAtOperatingPoints)
     };
     const Point points[] = {{4.8, true}, {3.2, false}};
     ConditionalOptions options;
-    ParallelSampler sampler(ParallelOptions{4, 128});
+    BatchSampler sampler = threadedSampler(4, 128);
     for (const auto& point : points) {
         auto cond = gaussianLeaf(point.mu, 1.0) > 4.0;
         for (int trial = 0; trial < 20; ++trial) {
@@ -248,7 +317,7 @@ TEST(ParallelEquivalence, SprtAcceptanceRateParityNearThreshold)
     auto cond = gaussianLeaf(4.1, 1.0) > 4.0; // Pr ~ 0.54
     ConditionalOptions options;
     options.sprt.maxSamples = 400;
-    ParallelSampler sampler(ParallelOptions{4, 64});
+    BatchSampler sampler = threadedSampler(4, 64);
     const int kTrials = 200;
     int serialAccepts = 0;
     int parallelAccepts = 0;
@@ -272,9 +341,9 @@ TEST(ParallelEquivalence, ChunkedSprtSampleSizeStaysWithinAChunk)
 {
     auto cond = gaussianLeaf(4.5, 1.0) > 4.0;
     ConditionalOptions options;
-    ParallelSampler sampler(ParallelOptions{4, 64});
+    BatchSampler sampler = threadedSampler(4, 64);
     const std::size_t chunk = std::max<std::size_t>(
-        options.sprt.batchSize, 4 * 64);
+        options.sprt.batchSize, 256);
     for (int trial = 0; trial < 10; ++trial) {
         Rng rng =
             testing::testRng(950 + static_cast<std::uint64_t>(trial));
@@ -289,7 +358,7 @@ TEST(ParallelEquivalence, ChunkedSprtSampleSizeStaysWithinAChunk)
 TEST(ParallelEquivalence, FixedAndGroupSequentialStrategiesWork)
 {
     auto cond = gaussianLeaf(4.6, 1.0) > 4.0;
-    ParallelSampler sampler(ParallelOptions{4, 128});
+    BatchSampler sampler = threadedSampler(4, 128);
 
     ConditionalOptions fixed;
     fixed.strategy = ConditionalStrategy::FixedSample;

@@ -183,10 +183,10 @@ TEST(PlanCache, SharedAcrossSamplersReusesOnePlan)
     EXPECT_GE(stats.hits, 1u);
 }
 
-TEST(PlanCache, ThreadSafeWhenSharedWithParallelSampler)
+TEST(PlanCache, ThreadSafeWhenSharedWithThreadedSampler)
 {
-    // One cache shared by a ParallelSampler and per-thread
-    // BatchSamplers, hammered concurrently with both a shared root
+    // One cache shared by a BatchSampler over a BlockScheduler and
+    // per-thread serial BatchSamplers, hammered concurrently with both a shared root
     // and thread-private churning roots. Run under TSan in CI.
     auto cache = std::make_shared<PlanCache>(8);
     auto shared = gaussianLeaf() + gaussianLeaf();
@@ -215,7 +215,8 @@ TEST(PlanCache, ThreadSafeWhenSharedWithParallelSampler)
             }
         });
     }
-    ParallelSampler parallel(ParallelOptions{2, 256}, cache);
+    BatchSampler parallel(BatchOptions{256}, cache,
+                          std::make_shared<BlockScheduler>(1));
     Rng rng = testing::testRng(62);
     for (int i = 0; i < 25; ++i)
         parallel.takeSamples(sharedNode, 512, rng);

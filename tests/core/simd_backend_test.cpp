@@ -13,9 +13,9 @@
  *     passing all of them is safe on any host).
  *  2. Broadcast-constant forms — binaryF64ConstB/ConstA equal the
  *     column kernel over a splatted column for every op.
- *  3. RNG fills — the leapfrogged xoshiro fills retrace the exact
- *     serial orbit: same outputs, same final engine state, same
- *     double mapping as Rng::nextDouble.
+ *  3. RNG fills — Rng's bulk fills retrace the exact serial orbit:
+ *     same outputs, same final engine state, same double mapping as
+ *     Rng::nextDouble.
  *  4. Ziggurat — Gaussian::sampleMany under the vector accept pass is
  *     bit-identical to the forced-scalar path.
  *  5. Plan equivalence — all 16 optimizer toggle combinations x
@@ -372,6 +372,66 @@ TEST(SimdBackend, IntegerAndBoolKernelsMatchScalarAcrossIsas)
             }
         }
     }
+
+    // Overflow edges: add/sub/mul wrap modulo 2^width on every Isa,
+    // checked against unsigned arithmetic computed here. Every pair
+    // of the edge values gives 49 lanes: full packs plus a tail.
+    const std::int32_t e32[] = {
+        std::numeric_limits<std::int32_t>::min(),
+        std::numeric_limits<std::int32_t>::min() + 1, -1, 0, 1,
+        std::numeric_limits<std::int32_t>::max() - 1,
+        std::numeric_limits<std::int32_t>::max()};
+    const std::int64_t e64[] = {
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::min() + 1, -1, 0, 1,
+        std::numeric_limits<std::int64_t>::max() - 1,
+        std::numeric_limits<std::int64_t>::max()};
+    std::vector<std::int32_t> a32, b32;
+    std::vector<std::int64_t> a64, b64;
+    for (std::size_t i = 0; i < 7; ++i) {
+        for (std::size_t j = 0; j < 7; ++j) {
+            a32.push_back(e32[i]);
+            b32.push_back(e32[j]);
+            a64.push_back(e64[i]);
+            b64.push_back(e64[j]);
+        }
+    }
+    const std::size_t m = a32.size();
+    for (auto op : {simd::BinI32::Add, simd::BinI32::Sub,
+                    simd::BinI32::Mul}) {
+        std::vector<std::int32_t> ref(m);
+        for (std::size_t i = 0; i < m; ++i) {
+            const auto x = static_cast<std::uint32_t>(a32[i]);
+            const auto y = static_cast<std::uint32_t>(b32[i]);
+            ref[i] = static_cast<std::int32_t>(
+                op == simd::BinI32::Add   ? x + y
+                : op == simd::BinI32::Sub ? x - y
+                                          : x * y);
+        }
+        for (auto isa : kIsas) {
+            std::vector<std::int32_t> out(m, -7);
+            simd::binaryI32(isa, op, a32.data(), b32.data(), out.data(),
+                            m);
+            EXPECT_EQ(ref, out) << "i32 edge op " << static_cast<int>(op)
+                                << " isa " << simd::isaName(isa);
+        }
+    }
+    for (auto op : {simd::BinI64::Add, simd::BinI64::Sub}) {
+        std::vector<std::int64_t> ref(m);
+        for (std::size_t i = 0; i < m; ++i) {
+            const auto x = static_cast<std::uint64_t>(a64[i]);
+            const auto y = static_cast<std::uint64_t>(b64[i]);
+            ref[i] = static_cast<std::int64_t>(
+                op == simd::BinI64::Add ? x + y : x - y);
+        }
+        for (auto isa : kIsas) {
+            std::vector<std::int64_t> out(m, -7);
+            simd::binaryI64(isa, op, a64.data(), b64.data(), out.data(),
+                            m);
+            EXPECT_EQ(ref, out) << "i64 edge op " << static_cast<int>(op)
+                                << " isa " << simd::isaName(isa);
+        }
+    }
 }
 
 TEST(SimdBackend, NegAndSelectMatchScalarAcrossIsas)
@@ -410,49 +470,34 @@ TEST(SimdBackend, XoshiroFillU64RetracesTheSerialOrbit)
     for (std::size_t n : {std::size_t{1}, std::size_t{3},
                           std::size_t{4}, std::size_t{17},
                           std::size_t{256}, std::size_t{1001}}) {
-        // The serial orbit: a plain next() loop plus the final state.
+        // The serial orbit: a plain next() loop. Rng(seed) wraps
+        // Xoshiro256StarStar(seed), so both start in the same state.
         Xoshiro256StarStar engine(seed);
         std::vector<std::uint64_t> ref(n);
         for (auto& w : ref)
             w = engine.next();
-        const std::array<std::uint64_t, 4> refState = engine.state();
 
-        for (auto isa : kIsas) {
-            Xoshiro256StarStar twin(seed);
-            std::array<std::uint64_t, 4> state = twin.state();
-            std::vector<std::uint64_t> out(n, 0xDEADull);
-            simd::xoshiroFillU64(isa, state.data(), out.data(), n);
-            EXPECT_EQ(ref, out)
-                << "fill " << simd::isaName(isa) << " n " << n;
-            EXPECT_EQ(refState, state)
-                << "state " << simd::isaName(isa) << " n " << n;
-        }
+        Rng rng(seed);
+        std::vector<std::uint64_t> out(n, 0xDEADull);
+        rng.fillU64(out.data(), n);
+        EXPECT_EQ(ref, out) << "fill n " << n;
+        // The post-fill state continues the same orbit.
+        for (int k = 0; k < 4; ++k)
+            EXPECT_EQ(engine.next(), rng.nextU64())
+                << "state n " << n << " word " << k;
     }
 }
 
 TEST(SimdBackend, XoshiroFillDoubleMatchesRngMapping)
 {
-    // Rng(seed) wraps Xoshiro256StarStar(seed), so an engine with the
-    // same seed starts in the exact state the facade draws from.
     const std::uint64_t seed = 97;
-    const std::size_t n = 513; // odd: exercises the vector tail
+    const std::size_t n = 513;
     for (bool open : {false, true}) {
         Rng rng(seed);
         std::vector<double> ref(n);
         for (auto& v : ref)
             v = open ? rng.nextDoubleOpen() : rng.nextDouble();
-
-        // The kernel, at every Isa, over the raw engine state.
-        for (auto isa : kIsas) {
-            Xoshiro256StarStar twin(seed);
-            std::array<std::uint64_t, 4> state = twin.state();
-            std::vector<double> out(n, -777.0);
-            simd::xoshiroFillDouble(isa, state.data(), out.data(), n,
-                                    open);
-            EXPECT_TRUE(bitIdentical(ref, out))
-                << "fillDouble " << simd::isaName(isa) << " open="
-                << open;
-        }
+        const std::uint64_t after = rng.nextU64();
 
         // The Rng facade's bulk fill, forced-scalar and not.
         for (bool force : {false, true}) {
@@ -466,6 +511,8 @@ TEST(SimdBackend, XoshiroFillDoubleMatchesRngMapping)
             EXPECT_TRUE(bitIdentical(ref, viaRng))
                 << "Rng fill open=" << open << " force-scalar="
                 << force;
+            EXPECT_EQ(after, fresh.nextU64())
+                << "post-fill state open=" << open;
         }
     }
 }

@@ -204,10 +204,10 @@ TEST(Threading, ManyContextsOnOneGraphStress)
     EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Threading, ParallelSamplersOnDistinctThreadsShareAGraph)
+TEST(Threading, ThreadedSamplersOnDistinctThreadsShareAGraph)
 {
-    // Each thread drives its own ParallelSampler (each with its own
-    // pool) over the same graph — contexts nest two levels deep in
+    // Each thread drives its own BatchSampler over its own
+    // BlockScheduler (one helper each) over the same graph — contexts nest two levels deep in
     // the concurrency hierarchy.
     constexpr int kThreads = 4;
     auto x = fromDistribution(
@@ -219,7 +219,8 @@ TEST(Threading, ParallelSamplersOnDistinctThreadsShareAGraph)
         threads.emplace_back([t, &expr, &means] {
             Rng rng = testing::testRng(
                 static_cast<std::uint64_t>(600 + t));
-            ParallelSampler sampler(ParallelOptions{2, 128});
+            BatchSampler sampler(BatchOptions{128}, nullptr,
+                                 std::make_shared<BlockScheduler>(1));
             means[t] = expr.expectedValue(20000, rng, sampler);
         });
     }

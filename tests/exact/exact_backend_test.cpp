@@ -364,7 +364,8 @@ TEST(ExactRouting, ParallelAndBatchOverloadsRouteExactly)
     core::resetEvalStats();
     auto event = bernoulliEvent(0.8);
 
-    core::ParallelSampler parallel(2u);
+    core::BatchSampler parallel(core::BatchOptions{1024}, nullptr,
+                                std::make_shared<core::BlockScheduler>(1));
     auto viaParallel = event.evaluate(0.5, {}, rng, parallel);
     EXPECT_EQ(viaParallel.samplesUsed, 0u);
     EXPECT_NEAR(viaParallel.estimate, 0.8, 1e-12);

@@ -257,7 +257,8 @@ TEST(ExactOracle, TreeEngineMatchesExactPmf)
 
 TEST(ExactOracle, ParallelEngineMatchesExactPmf)
 {
-    core::ParallelSampler sampler(2u);
+    core::BatchSampler sampler(core::BatchOptions{1024}, nullptr,
+                               std::make_shared<core::BlockScheduler>(1));
     std::uint64_t seed = 1200;
     for (const auto& entry : corpus()) {
         auto pmf = exact::pmf(entry.graph);
