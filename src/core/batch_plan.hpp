@@ -943,8 +943,8 @@ struct PlanStats
     /** True when the plan compiled vector strips (Auto resolved to
      *  SIMD, or Simd was forced). */
     bool simdStrips = false;
-    /** ISA the kernels dispatched to at build time ("scalar", "sse2",
-     *  "avx2", "neon"). */
+    /** ISA the kernels dispatched to at build time ("avx2", or
+     *  "scalar" for the scalar emulation). */
     const char* isa = "scalar";
     /** Doubles per vector register on that ISA (1 when scalar). */
     std::size_t laneWidth = 1;
@@ -1212,8 +1212,8 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
 
     // Backend resolution happens once, here: Auto asks the dispatch
     // layer whether a vector unit is actually usable on this machine;
-    // Simd always compiles the kernel-layer strips (they clamp to the
-    // detected ISA internally, so this is safe everywhere); Scalar
+    // Simd always compiles the kernel-layer strips (without AVX2 they
+    // run the scalar emulation, so this is safe everywhere); Scalar
     // always compiles the interpreter strips. Outputs are
     // bit-identical either way — the choice is purely about speed.
     // Jit resolves per fused group below: each group that the

@@ -5,10 +5,8 @@
  * assembled into a growable byte vector; the caller seals it into an
  * ExecBuffer afterwards (see jit_buffer.hpp for the W^X discipline).
  *
- * Two encodings are covered:
- *  - legacy SSE2 (66 0F xx), the x86-64 baseline the compat code
- *    path targets, and
- *  - 3-byte VEX (AVX/AVX2), used when the running CPU reports AVX2.
+ * Vector instructions use the 3-byte VEX (AVX/AVX2) encoding only:
+ * the JIT emits code only when the running CPU reports AVX2.
  *
  * The register mnemonics below are encoder numbers (RAX=0 ... R15=15,
  * and xmm/ymm registers use the same 0..15 numbering). Memory
@@ -118,16 +116,6 @@ class Assembler
         modrmMem(dst, m);
     }
 
-    /** movzx r32, m8 */
-    void
-    movzxR32M8(int dst, const Mem& m)
-    {
-        rex(false, dst, m.index, m.base);
-        u8(0x0F);
-        u8(0xB6);
-        modrmMem(dst, m);
-    }
-
     /** mov m8, r8 (low byte of @p src; use only RAX/RDX sources). */
     void
     movM8R8(const Mem& m, int src)
@@ -135,15 +123,6 @@ class Assembler
         rex(false, src, m.index, m.base);
         u8(0x88);
         modrmMem(src, m);
-    }
-
-    /** neg r64 */
-    void
-    negR(int r)
-    {
-        rex(true, 3, -1, r);
-        u8(0xF7);
-        modrmReg(3, r);
     }
 
     /** add r64, imm32 */
@@ -198,56 +177,6 @@ class Assembler
 
     void ret() { u8(0xC3); }
 
-    // ---- legacy SSE2 (66 0F op) --------------------------------------
-
-    /** 66 0F op /r with two xmm registers (reg = dst for most ops). */
-    void
-    sseRR(std::uint8_t op, int reg, int rm)
-    {
-        u8(0x66);
-        rex(false, reg, -1, rm);
-        u8(0x0F);
-        u8(op);
-        modrmReg(reg, rm);
-    }
-
-    /** 66 0F op /r with a memory operand. */
-    void
-    sseRM(std::uint8_t op, int reg, const Mem& m)
-    {
-        u8(0x66);
-        rex(false, reg, m.index, m.base);
-        u8(0x0F);
-        u8(op);
-        modrmMem(reg, m);
-    }
-
-    /** cmppd xmm_dst, xmm_src, pred */
-    void
-    cmppd(int dst, int src, std::uint8_t pred)
-    {
-        sseRR(0xC2, dst, src);
-        u8(pred);
-    }
-
-    /** movq xmm, r64 */
-    void
-    movqXmmR64(int xmm, int gpr)
-    {
-        u8(0x66);
-        rex(true, xmm, -1, gpr);
-        u8(0x0F);
-        u8(0x6E);
-        modrmReg(xmm, gpr);
-    }
-
-    /** movmskpd r32, xmm */
-    void
-    movmskpd(int gpr, int xmm)
-    {
-        sseRR(0x50, gpr, xmm);
-    }
-
     // ---- VEX (AVX/AVX2) ----------------------------------------------
     // mmmmm: 1 = 0F, 2 = 0F38, 3 = 0F3A. pp: 0 = none, 1 = 66.
     // L: 0 = 128-bit, 1 = 256-bit. vvvv = 0 encodes "no source".
@@ -288,7 +217,7 @@ class Assembler
         u8(static_cast<std::uint8_t>(mask << 4));
     }
 
-    /** vzeroupper — emitted before ret so the caller's legacy SSE code
+    /** vzeroupper — emitted before ret so the caller's non-VEX code
      *  does not pay AVX state transition penalties. */
     void
     vzeroupper()

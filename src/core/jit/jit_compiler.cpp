@@ -54,6 +54,7 @@ constexpr int kTempEnd = 16;
 constexpr int kPoolSize = 12;
 constexpr int kPins[8] = {R8, R9, R10, RBX, R12, R13, R14, R15};
 constexpr int kFirstCalleeSavedPin = 3; //!< kPins[3..] need push/pop
+constexpr int kW = 4; //!< elements per pack: 4 x 64-bit lanes of a ymm
 
 enum class Elem : std::uint8_t
 {
@@ -135,10 +136,9 @@ class GroupEmitter
 {
   public:
     GroupEmitter(const std::vector<GroupStep>& steps,
-                 std::size_t columnSlots, std::size_t stripElems,
-                 bool avx)
+                 std::size_t columnSlots, std::size_t stripElems)
         : steps_(steps), columnSlots_(columnSlots),
-          stripElems_(stripElems), avx_(avx), W_(avx ? 4 : 2)
+          stripElems_(stripElems)
     {}
 
     /** Analyze + emit; false = refusal (nothing usable emitted). */
@@ -152,7 +152,7 @@ class GroupEmitter
         const std::size_t top = a_.here();
         emitBody();
         a_.addRImm32(RCX,
-                     static_cast<std::int32_t>(W_ * interleave_));
+                     static_cast<std::int32_t>(kW * interleave_));
         a_.cmpRR(RCX, RSI);
         a_.jbTo(top);
         emitEpilogue();
@@ -170,7 +170,7 @@ class GroupEmitter
         if (steps_.empty() || columnSlots_ > kMaxColumnSlots)
             return false;
         if (stripElems_ == 0
-            || stripElems_ % static_cast<std::size_t>(W_) != 0)
+            || stripElems_ % static_cast<std::size_t>(kW) != 0)
             return false;
         if (stripElems_
             > static_cast<std::size_t>(
@@ -193,7 +193,7 @@ class GroupEmitter
                     case Operand::Kind::Column:
                         if (o.index >= columnSlots_)
                             return false;
-                        if (e == Elem::Bool && avx_)
+                        if (e == Elem::Bool)
                             needZero = true;
                         break;
                     case Operand::Kind::Scratch:
@@ -274,7 +274,7 @@ class GroupEmitter
                && (consts + maxLiveScratch_ * interleave_
                        > static_cast<std::size_t>(kPoolSize)
                    || stripElems_
-                              % static_cast<std::size_t>(W_
+                              % static_cast<std::size_t>(kW
                                                          * interleave_)
                           != 0))
             interleave_ /= 2;
@@ -292,21 +292,13 @@ class GroupEmitter
         for (std::uint64_t bits : constOrder_) {
             const int reg = constRegs_.at(bits);
             if (bits == 0) {
-                if (avx_)
-                    a_.vexRR(0x57, 1, 1, 0, 1, reg, reg, reg);
-                else
-                    a_.sseRR(0x57, reg, reg);
+                a_.vexRR(0x57, 1, 1, 0, 1, reg, reg, reg); // vxorpd
                 continue;
             }
             a_.movRImm64(RAX, bits);
-            if (avx_) {
-                // vmovq xmm, rax; vbroadcastsd ymm, xmm
-                a_.vexRR(0x6E, 1, 1, 1, 0, reg, 0, RAX);
-                a_.vexRR(0x19, 2, 1, 0, 1, reg, 0, reg);
-            } else {
-                a_.movqXmmR64(reg, RAX);
-                a_.sseRR(0x6C, reg, reg); // punpcklqdq self = splat
-            }
+            // vmovq xmm, rax; vbroadcastsd ymm, xmm
+            a_.vexRR(0x6E, 1, 1, 1, 0, reg, 0, RAX);
+            a_.vexRR(0x19, 2, 1, 0, 1, reg, 0, reg);
         }
         for (int s = 0; s < pinned; ++s)
             a_.movRM(kPins[s],
@@ -318,8 +310,7 @@ class GroupEmitter
     void
     emitEpilogue()
     {
-        if (avx_)
-            a_.vzeroupper();
+        a_.vzeroupper();
         const int pinned = static_cast<int>(
             std::min<std::size_t>(columnSlots_, 8));
         for (int i = pinned - 1; i >= kFirstCalleeSavedPin; --i)
@@ -372,10 +363,7 @@ class GroupEmitter
                 scratchReg_.emplace(laneKey(s.dst.index, u), d);
             }
         }
-        if (avx_)
-            emitOpAvx(s.op, d, r);
-        else
-            emitOpSse(s.op, d, r);
+        emitOp(s.op, d, r);
         if (dstColumn)
             storeDst(s.dst.index, g.res, u, d);
         releaseAfter(k, u);
@@ -443,7 +431,7 @@ class GroupEmitter
     }
 
     /** A temp distinct from every register in @p used (helper for
-     *  blend masks and the SSE2 and/andn sequences). */
+     *  the Min/Max blend masks). */
     int
     pickHelper(std::initializer_list<int> used) const
     {
@@ -474,37 +462,20 @@ class GroupEmitter
     void
     loadColumn(int t, std::uint32_t slot, Elem e, unsigned u)
     {
-        const Mem m = colMem(slot, e, static_cast<int>(u) * W_);
-        if (avx_)
-            a_.vexRM(0x10, 1, 1, 0, 1, t, 0, m); // vmovupd
-        else
-            a_.sseRM(0x10, t, m); // movupd
+        const Mem m = colMem(slot, e, static_cast<int>(u) * kW);
+        a_.vexRM(0x10, 1, 1, 0, 1, t, 0, m); // vmovupd
     }
 
-    /** Load W bool bytes and widen to the canonical all-ones/all-zero
-     *  lane masks. Signature-wise bools only appear in source
-     *  positions 0/1, so the SSE2 helper temp t+1 stays in range. */
+    /** Load kW bool bytes and widen to the canonical
+     *  all-ones/all-zero lane masks. */
     void
     widenBool(int t, std::uint32_t slot, unsigned u)
     {
         const Mem m = colMem(slot, Elem::Bool,
-                             static_cast<int>(u) * W_);
-        if (avx_) {
-            a_.vexRM(0x32, 2, 1, 0, 1, t, 0, m); // vpmovzxbq ymm, m32
-            // mask = widened > 0
-            a_.vexRR(0x37, 2, 1, 1, 1, t, t, constRegs_.at(0));
-            return;
-        }
-        Mem m1 = m;
-        m1.disp += 1;
-        const int helper = t + 1;
-        a_.movzxR32M8(RAX, m);
-        a_.negR(RAX); // 1 -> all-ones, 0 -> 0
-        a_.movqXmmR64(t, RAX);
-        a_.movzxR32M8(RAX, m1);
-        a_.negR(RAX);
-        a_.movqXmmR64(helper, RAX);
-        a_.sseRR(0x6C, t, helper); // punpcklqdq: t.hi = helper.lo
+                             static_cast<int>(u) * kW);
+        a_.vexRM(0x32, 2, 1, 0, 1, t, 0, m); // vpmovzxbq ymm, m32
+        // mask = widened > 0
+        a_.vexRR(0x37, 2, 1, 1, 1, t, t, constRegs_.at(0));
     }
 
     void
@@ -514,28 +485,22 @@ class GroupEmitter
             storeMask(slot, u, v);
             return;
         }
-        const Mem m = colMem(slot, e, static_cast<int>(u) * W_);
-        if (avx_)
-            a_.vexRM(0x11, 1, 1, 0, 1, v, 0, m); // vmovupd store
-        else
-            a_.sseRM(0x11, v, m);
+        const Mem m = colMem(slot, e, static_cast<int>(u) * kW);
+        a_.vexRM(0x11, 1, 1, 0, 1, v, 0, m); // vmovupd store
     }
 
-    /** Canonical mask -> W bool bytes (exactly 0 or 1, matching the
+    /** Canonical mask -> kW bool bytes (exactly 0 or 1, matching the
      *  interpreter's stores byte for byte). */
     void
     storeMask(std::uint32_t slot, unsigned u, int v)
     {
-        if (avx_)
-            a_.vexRR(0x50, 1, 1, 0, 1, RAX, 0, v); // vmovmskpd
-        else
-            a_.sseRR(0x50, RAX, v); // movmskpd
+        a_.vexRR(0x50, 1, 1, 0, 1, RAX, 0, v); // vmovmskpd
         const Mem m = colMem(slot, Elem::Bool,
-                             static_cast<int>(u) * W_);
-        for (int k = 0; k < W_; ++k) {
+                             static_cast<int>(u) * kW);
+        for (int k = 0; k < kW; ++k) {
             Mem mk = m;
             mk.disp += k;
-            if (k + 1 < W_) {
+            if (k + 1 < kW) {
                 a_.movR32R32(RDX, RAX);
                 a_.andR32Imm8(RDX, 1);
                 a_.movM8R8(mk, RDX);
@@ -547,7 +512,7 @@ class GroupEmitter
         }
     }
 
-    // ---- AVX2 op selection (non-destructive three-operand forms) -----
+    // ---- op selection (AVX2 non-destructive three-operand forms) -----
 
     void
     vbin(std::uint8_t opc, int d, int a, int b)
@@ -556,7 +521,7 @@ class GroupEmitter
     }
 
     void
-    emitOpAvx(Op op, int d, const int* r)
+    emitOp(Op op, int d, const int* r)
     {
         switch (op) {
             case Op::AddF64: vbin(0x58, d, r[0], r[1]); return;
@@ -600,87 +565,9 @@ class GroupEmitter
         }
     }
 
-    // ---- SSE2 op selection (destructive two-operand forms) -----------
-    // The register binding guarantees d is distinct from every source,
-    // which every sequence below relies on.
-
-    void
-    mov(int d, int s) { a_.sseRR(0x28, d, s); } // movapd
-
-    void
-    bin(std::uint8_t opc, int d, int s) { a_.sseRR(opc, d, s); }
-
-    void
-    emitOpSse(Op op, int d, const int* r)
-    {
-        switch (op) {
-            case Op::AddF64: mov(d, r[0]); bin(0x58, d, r[1]); return;
-            case Op::SubF64: mov(d, r[0]); bin(0x5C, d, r[1]); return;
-            case Op::MulF64: mov(d, r[0]); bin(0x59, d, r[1]); return;
-            case Op::DivF64: mov(d, r[0]); bin(0x5E, d, r[1]); return;
-            case Op::MinF64: {
-                const int h = pickHelper({d, r[0], r[1]});
-                mov(d, r[1]);
-                a_.cmppd(d, r[0], 1); // mask = y < x
-                mov(h, d);
-                bin(0x54, d, r[1]);   // mask & y
-                bin(0x55, h, r[0]);   // ~mask & x
-                bin(0x56, d, h);
-                return;
-            }
-            case Op::MaxF64: {
-                const int h = pickHelper({d, r[0], r[1]});
-                mov(d, r[0]);
-                a_.cmppd(d, r[1], 1); // mask = x < y
-                mov(h, d);
-                bin(0x54, d, r[1]);   // mask & y
-                bin(0x55, h, r[0]);   // ~mask & x
-                bin(0x56, d, h);
-                return;
-            }
-            case Op::NegF64:
-                mov(d, r[0]);
-                bin(0x57, d, constRegs_.at(kSignMask));
-                return;
-            case Op::LtF64: mov(d, r[0]); a_.cmppd(d, r[1], 1); return;
-            case Op::GtF64: mov(d, r[1]); a_.cmppd(d, r[0], 1); return;
-            case Op::LeF64: mov(d, r[0]); a_.cmppd(d, r[1], 2); return;
-            case Op::GeF64: mov(d, r[1]); a_.cmppd(d, r[0], 2); return;
-            case Op::EqF64: mov(d, r[0]); a_.cmppd(d, r[1], 0); return;
-            case Op::NeF64: mov(d, r[0]); a_.cmppd(d, r[1], 4); return;
-            case Op::AddI64: mov(d, r[0]); bin(0xD4, d, r[1]); return;
-            case Op::SubI64: mov(d, r[0]); bin(0xFB, d, r[1]); return;
-            case Op::AndBool: mov(d, r[0]); bin(0x54, d, r[1]); return;
-            case Op::OrBool: mov(d, r[0]); bin(0x56, d, r[1]); return;
-            case Op::NotBool:
-                mov(d, r[0]);
-                bin(0x57, d, constRegs_.at(~std::uint64_t{0}));
-                return;
-            case Op::SelectF64:
-                // d = (c & x) | (~c & y)
-                if (r[0] >= kTemp0) {
-                    // c lives in a load temp: destroy it in place.
-                    mov(d, r[0]);
-                    bin(0x54, d, r[1]); // c & x
-                    bin(0x55, r[0], r[2]); // ~c & y
-                    bin(0x56, d, r[0]);
-                } else {
-                    const int h = pickHelper({d, r[0], r[1], r[2]});
-                    mov(d, r[0]);
-                    bin(0x54, d, r[1]);
-                    mov(h, r[0]);
-                    bin(0x55, h, r[2]);
-                    bin(0x56, d, h);
-                }
-                return;
-        }
-    }
-
     const std::vector<GroupStep>& steps_;
     std::size_t columnSlots_;
     std::size_t stripElems_;
-    bool avx_;
-    int W_;
     unsigned interleave_ = 1;
     std::size_t maxLiveScratch_ = 0;
     Assembler a_;
@@ -715,12 +602,6 @@ execProbe()
 }
 #endif
 
-bool
-codegenAvx()
-{
-    return simd::detectedIsa() >= simd::Isa::Avx2;
-}
-
 // ---- process-wide fragment cache -------------------------------------
 
 constexpr std::size_t kCacheCap = 256;
@@ -745,7 +626,7 @@ cacheState()
 
 std::string
 cacheKey(const std::vector<GroupStep>& steps, std::size_t columnSlots,
-         std::size_t stripElems, bool avx)
+         std::size_t stripElems)
 {
     std::string key;
     key.reserve(16 + steps.size() * 32);
@@ -760,7 +641,6 @@ cacheKey(const std::vector<GroupStep>& steps, std::size_t columnSlots,
         for (int i = 0; i < 8; ++i)
             put8(static_cast<std::uint8_t>(v >> (8 * i)));
     };
-    put8(avx ? 2 : 1);
     put64(stripElems);
     put64(columnSlots);
     for (const GroupStep& s : steps) {
@@ -787,7 +667,7 @@ available()
 #else
     if (g_forceDisabled.load(std::memory_order_relaxed))
         return false;
-    if (simd::activeIsa() == simd::Isa::Scalar)
+    if (simd::activeIsa() != simd::Isa::Avx2)
         return false;
     return execProbe();
 #endif
@@ -808,9 +688,7 @@ forceDisabled()
 const char*
 codegenIsaName()
 {
-    if (!available())
-        return "none";
-    return codegenAvx() ? "avx2" : "sse2";
+    return available() ? "avx2" : "none";
 }
 
 CompileResult
@@ -824,9 +702,7 @@ compileGroup(const std::vector<GroupStep>& steps,
         ++c.refusals;
         return res;
     }
-    const bool avx = codegenAvx();
-    const std::string key = cacheKey(steps, columnSlots, stripElems,
-                                     avx);
+    const std::string key = cacheKey(steps, columnSlots, stripElems);
     std::lock_guard<std::mutex> lock(c.mu);
     auto it = c.map.find(key);
     if (it != c.map.end()) {
@@ -837,7 +713,7 @@ compileGroup(const std::vector<GroupStep>& steps,
     }
     ++c.misses;
     const auto t0 = std::chrono::steady_clock::now();
-    GroupEmitter em(steps, columnSlots, stripElems, avx);
+    GroupEmitter em(steps, columnSlots, stripElems);
     if (!em.emit()) {
         ++c.refusals;
         return res;

@@ -12,19 +12,19 @@
  * same element order as the scalar interpreter strip — no FMA
  * contraction (none is ever emitted), compare+blend Min/Max, ordered
  * compares — so fragment output is bit-identical to both the scalar
- * and the SIMD strips. Processing per *pack* (2 or 4 elements) across
+ * and the SIMD strips. Processing per *pack* (4 elements) across
  * all ops, instead of per op across the strip, only reorders which
  * elements are computed when — the same argument that makes the
  * fusion pass bit-exact.
  *
  * Fragments are cached process-wide, keyed by the group's canonical
- * op/operand signature plus the codegen ISA and strip length, so
+ * op/operand signature plus the strip length, so
  * plans sharing a shape (across samplers and threads) compile once.
  * The cache is mutex-guarded and bounded.
  *
  * compileGroup() refuses — returning a null fragment — rather than
  * guess: unsupported op (anything outside the f64/i64/bool strip
- * vocabulary below, e.g. the int32 kernels), no usable vector ISA,
+ * vocabulary below, e.g. the int32 kernels), no AVX2,
  * register pressure beyond the allocator, too many distinct columns,
  * executable memory unavailable, or a -DUNCERTAIN_JIT=OFF build. The
  * caller falls back to the SIMD/scalar strips; the interpreter
@@ -152,12 +152,14 @@ struct FragmentCacheStats
 };
 
 /**
- * Can the JIT emit anything on this build/CPU right now? False on
- * non-x86-64, -DUNCERTAIN_JIT=OFF builds, setForceDisabled(true),
- * when the SIMD layer reports no usable vector unit (which covers
- * simd::setForceScalar and -DUNCERTAIN_SIMD=OFF builds — the JIT is
- * part of the vector execution story and obeys the same kill
- * switches), or when the one-time executable-memory probe failed.
+ * Can the JIT emit anything on this build/CPU right now? The emitter
+ * targets AVX2 only, so this requires simd::activeIsa() == Avx2: it
+ * is false on a pre-AVX2 x86-64 CPU, under simd::setForceScalar and
+ * in -DUNCERTAIN_SIMD=OFF builds (the JIT is part of the vector
+ * execution story and obeys the same kill switches). It is also
+ * false on non-x86-64, -DUNCERTAIN_JIT=OFF builds,
+ * setForceDisabled(true), or when the one-time executable-memory
+ * probe failed.
  */
 bool available();
 
@@ -171,10 +173,10 @@ void setForceDisabled(bool disabled);
 /** Current state of the force-disable switch. */
 bool forceDisabled();
 
-/** Name of the ISA fragments are emitted for ("avx2", "sse2"); the
- *  emitter follows the *running CPU* (simd::detectedIsa), not the
- *  compiler flags — generated code carries its own encoding. Returns
- *  "none" when available() is false. */
+/** Name of the ISA fragments are emitted for: "avx2" when
+ *  available(), else "none". The emitter follows the *running CPU*
+ *  (simd::activeIsa), not the compiler flags — generated code
+ *  carries its own encoding. */
 const char* codegenIsaName();
 
 /**

@@ -35,18 +35,18 @@ namespace simd {
  *
  * - Auto:   compile fused elementwise groups to native fragments when
  *           the plan-level JIT is available (jit::available()), else
- *           vectorize when activeIsa() reports a usable vector unit
- *           at plan-build time, else compile the scalar strips.
+ *           vectorize when activeIsa() reports AVX2 at plan-build
+ *           time, else compile the scalar strips.
  * - Jit:    prefer native fragments for every fused group. Safe on
  *           any machine: a group the emitter refuses (unsupported op,
- *           no x86-64, no executable memory, -DUNCERTAIN_JIT=OFF)
- *           falls back to the SIMD strips, which in turn clamp to
- *           the detected ISA — the fallback order is always
- *           jit -> simd -> scalar, bit-identical at every rung.
+ *           no AVX2, no executable memory, -DUNCERTAIN_JIT=OFF)
+ *           falls back to the SIMD strips, which in turn run their
+ *           scalar emulation without AVX2 — the fallback order is
+ *           always jit -> simd -> scalar, bit-identical at every rung.
  * - Simd:   always route vectorizable strips through the kernel
- *           layer. Safe on any machine — the kernels clamp to the
- *           detected ISA and fall back to their scalar emulation —
- *           so tests can exercise the SIMD code path everywhere.
+ *           layer. Safe on any machine — without AVX2 the kernels
+ *           run their scalar emulation — so tests can exercise the
+ *           SIMD code path everywhere.
  * - Scalar: always the plain scalar interpreter strips.
  */
 enum class ExecBackend : std::uint8_t

@@ -4,11 +4,12 @@
  *
  * Layout: one portable scalar-emulation function per kernel (the
  * reference semantics, and the body every other path must match
- * bit-for-bit), plus AVX2 / SSE2 specializations guarded by
+ * bit-for-bit), plus an AVX2 specialization guarded by
  * function-level target attributes so the translation unit itself
  * stays baseline-encodable — the AVX2 bodies are only ever entered
  * after __builtin_cpu_supports("avx2") says the instructions exist.
- * A NEON double-pack path covers aarch64 for the f64 strips.
+ * Every other target (a pre-AVX2 x86-64 CPU, aarch64, a
+ * -DUNCERTAIN_SIMD=OFF build) runs the scalar emulation.
  *
  * This TU is compiled with -ffp-contract=off (see src/core/
  * CMakeLists.txt): neither the emulation loops nor the tails may
@@ -30,12 +31,6 @@
 #define UNCERTAIN_TARGET_AVX2 __attribute__((target("avx2")))
 #endif
 
-#if !defined(UNCERTAIN_SIMD_DISABLED) && defined(__ARM_NEON) \
-    && defined(__aarch64__)
-#define UNCERTAIN_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace uncertain {
 namespace simd {
 
@@ -49,26 +44,17 @@ detectIsaOnce()
 #if defined(UNCERTAIN_SIMD_X86)
     if (__builtin_cpu_supports("avx2"))
         return Isa::Avx2;
-    return Isa::Sse2; // SSE2 is the x86-64 baseline
-#elif defined(UNCERTAIN_SIMD_NEON)
-    return Isa::Neon;
-#else
-    return Isa::Scalar;
 #endif
+    return Isa::Scalar;
 }
 
-/** min(requested, compiled, detected): the Isa a call executes at. */
-Isa
-clampIsa(Isa isa)
+/** Does a call made with @p isa run the AVX2 body? Only if it asked
+ *  for AVX2 and the binary and the CPU both have it (detectedIsa()
+ *  is Scalar whenever the AVX2 code is compiled out). */
+bool
+runsAvx2(Isa isa)
 {
-    const auto cap = static_cast<std::uint8_t>(compiledIsa());
-    const auto det = static_cast<std::uint8_t>(detectedIsa());
-    auto v = static_cast<std::uint8_t>(isa);
-    if (v > cap)
-        v = cap;
-    if (v > det)
-        v = det;
-    return static_cast<Isa>(v);
+    return isa == Isa::Avx2 && detectedIsa() == Isa::Avx2;
 }
 
 // =====================================================================
@@ -367,230 +353,6 @@ zigguratAcceptScalar(const std::uint64_t* words, std::size_t i0,
 }
 
 // =====================================================================
-// SSE2: 2-lane double packs (x86-64 baseline; no target attribute).
-// =====================================================================
-
-#if defined(UNCERTAIN_SIMD_X86) && defined(__SSE2__)
-
-// Op dispatch happens ONCE per strip, never per iteration: each op
-// gets its own tight loop via a template parameter. A `switch (op)`
-// inside the vector loop measured ~3.5x slower on the mul strip —
-// GCC cannot loop-unswitch across intrinsics, so the per-iteration
-// dispatch survives into the hot loop. (The scalar emulation kernels
-// above hoist the switch by hand for the same reason.)
-
-template <BinF64 Op>
-void
-binaryF64Sse2Loop(const double* a, const double* b, double* out,
-                  std::size_t n2)
-{
-    for (std::size_t i = 0; i < n2; i += 2) {
-        const __m128d va = _mm_loadu_pd(a + i);
-        const __m128d vb = _mm_loadu_pd(b + i);
-        __m128d r;
-        if constexpr (Op == BinF64::Add)
-            r = _mm_add_pd(va, vb);
-        else if constexpr (Op == BinF64::Sub)
-            r = _mm_sub_pd(va, vb);
-        else if constexpr (Op == BinF64::Mul)
-            r = _mm_mul_pd(va, vb);
-        else if constexpr (Op == BinF64::Div)
-            r = _mm_div_pd(va, vb);
-        else if constexpr (Op == BinF64::Min) {
-            // (b < a) ? b : a — compare+blend, NOT minpd (whose NaN
-            // and -0.0 conventions differ from the scalar ternary).
-            const __m128d m = _mm_cmplt_pd(vb, va);
-            r = _mm_or_pd(_mm_and_pd(m, vb), _mm_andnot_pd(m, va));
-        } else {
-            static_assert(Op == BinF64::Max);
-            const __m128d m = _mm_cmplt_pd(va, vb);
-            r = _mm_or_pd(_mm_and_pd(m, vb), _mm_andnot_pd(m, va));
-        }
-        _mm_storeu_pd(out + i, r);
-    }
-}
-
-void
-binaryF64Sse2(BinF64 op, const double* a, const double* b, double* out,
-              std::size_t n)
-{
-    const std::size_t n2 = n & ~std::size_t{1};
-    switch (op) {
-    case BinF64::Add: binaryF64Sse2Loop<BinF64::Add>(a, b, out, n2); break;
-    case BinF64::Sub: binaryF64Sse2Loop<BinF64::Sub>(a, b, out, n2); break;
-    case BinF64::Mul: binaryF64Sse2Loop<BinF64::Mul>(a, b, out, n2); break;
-    case BinF64::Div: binaryF64Sse2Loop<BinF64::Div>(a, b, out, n2); break;
-    case BinF64::Min: binaryF64Sse2Loop<BinF64::Min>(a, b, out, n2); break;
-    case BinF64::Max: binaryF64Sse2Loop<BinF64::Max>(a, b, out, n2); break;
-    }
-    if (n2 < n)
-        binaryF64Scalar(op, a + n2, b + n2, out + n2, n - n2);
-}
-
-template <Cmp Op>
-void
-compareF64Sse2Loop(const double* a, const double* b, std::uint8_t* out,
-                   std::size_t n2)
-{
-    for (std::size_t i = 0; i < n2; i += 2) {
-        const __m128d va = _mm_loadu_pd(a + i);
-        const __m128d vb = _mm_loadu_pd(b + i);
-        __m128d m;
-        if constexpr (Op == Cmp::Lt)
-            m = _mm_cmplt_pd(va, vb);
-        else if constexpr (Op == Cmp::Gt)
-            m = _mm_cmpgt_pd(va, vb);
-        else if constexpr (Op == Cmp::Le)
-            m = _mm_cmple_pd(va, vb);
-        else if constexpr (Op == Cmp::Ge)
-            m = _mm_cmpge_pd(va, vb);
-        else if constexpr (Op == Cmp::Eq)
-            m = _mm_cmpeq_pd(va, vb);
-        else {
-            static_assert(Op == Cmp::Ne);
-            m = _mm_cmpneq_pd(va, vb);
-        }
-        const int bits = _mm_movemask_pd(m);
-        out[i] = static_cast<std::uint8_t>(bits & 1);
-        out[i + 1] = static_cast<std::uint8_t>((bits >> 1) & 1);
-    }
-}
-
-void
-compareF64Sse2(Cmp op, const double* a, const double* b,
-               std::uint8_t* out, std::size_t n)
-{
-    const std::size_t n2 = n & ~std::size_t{1};
-    switch (op) {
-    case Cmp::Lt: compareF64Sse2Loop<Cmp::Lt>(a, b, out, n2); break;
-    case Cmp::Gt: compareF64Sse2Loop<Cmp::Gt>(a, b, out, n2); break;
-    case Cmp::Le: compareF64Sse2Loop<Cmp::Le>(a, b, out, n2); break;
-    case Cmp::Ge: compareF64Sse2Loop<Cmp::Ge>(a, b, out, n2); break;
-    case Cmp::Eq: compareF64Sse2Loop<Cmp::Eq>(a, b, out, n2); break;
-    case Cmp::Ne: compareF64Sse2Loop<Cmp::Ne>(a, b, out, n2); break;
-    }
-    if (n2 < n)
-        compareF64Scalar(op, a + n2, b + n2, out + n2, n - n2);
-}
-
-// Broadcast-constant binary loops: the constant operand lives in a
-// register (one splat before the loop), halving the load streams.
-// ConstOnB selects which side of the op the constant sits on; the
-// per-lane arithmetic is the same as the column-column loop.
-
-template <BinF64 Op, bool ConstOnB>
-void
-binaryF64ConstSse2Loop(const double* col, double c, double* out,
-                       std::size_t n2)
-{
-    const __m128d vc = _mm_set1_pd(c);
-    for (std::size_t i = 0; i < n2; i += 2) {
-        const __m128d vcol = _mm_loadu_pd(col + i);
-        const __m128d va = ConstOnB ? vcol : vc;
-        const __m128d vb = ConstOnB ? vc : vcol;
-        __m128d r;
-        if constexpr (Op == BinF64::Add)
-            r = _mm_add_pd(va, vb);
-        else if constexpr (Op == BinF64::Sub)
-            r = _mm_sub_pd(va, vb);
-        else if constexpr (Op == BinF64::Mul)
-            r = _mm_mul_pd(va, vb);
-        else if constexpr (Op == BinF64::Div)
-            r = _mm_div_pd(va, vb);
-        else if constexpr (Op == BinF64::Min) {
-            const __m128d m = _mm_cmplt_pd(vb, va);
-            r = _mm_or_pd(_mm_and_pd(m, vb), _mm_andnot_pd(m, va));
-        } else {
-            static_assert(Op == BinF64::Max);
-            const __m128d m = _mm_cmplt_pd(va, vb);
-            r = _mm_or_pd(_mm_and_pd(m, vb), _mm_andnot_pd(m, va));
-        }
-        _mm_storeu_pd(out + i, r);
-    }
-}
-
-template <bool ConstOnB>
-void
-binaryF64ConstSse2(BinF64 op, const double* col, double c, double* out,
-                   std::size_t n)
-{
-    const std::size_t n2 = n & ~std::size_t{1};
-    switch (op) {
-    case BinF64::Add:
-        binaryF64ConstSse2Loop<BinF64::Add, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Sub:
-        binaryF64ConstSse2Loop<BinF64::Sub, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Mul:
-        binaryF64ConstSse2Loop<BinF64::Mul, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Div:
-        binaryF64ConstSse2Loop<BinF64::Div, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Min:
-        binaryF64ConstSse2Loop<BinF64::Min, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Max:
-        binaryF64ConstSse2Loop<BinF64::Max, ConstOnB>(col, c, out, n2);
-        break;
-    }
-    if (n2 < n) {
-        if constexpr (ConstOnB)
-            binaryF64ConstBScalar(op, col + n2, c, out + n2, n - n2);
-        else
-            binaryF64ConstAScalar(op, c, col + n2, out + n2, n - n2);
-    }
-}
-
-void
-negF64Sse2(const double* a, double* out, std::size_t n)
-{
-    const __m128d sign = _mm_set1_pd(-0.0);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        _mm_storeu_pd(out + i, _mm_xor_pd(_mm_loadu_pd(a + i), sign));
-    if (i < n)
-        negF64Scalar(a + i, out + i, n - i);
-}
-
-void
-boolBinarySse2(BoolOp op, const std::uint8_t* a, const std::uint8_t* b,
-               std::uint8_t* out, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-        const __m128i r = op == BoolOp::And ? _mm_and_si128(va, vb)
-                                            : _mm_or_si128(va, vb);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), r);
-    }
-    if (i < n)
-        boolBinaryScalar(op, a + i, b + i, out + i, n - i);
-}
-
-void
-boolNotSse2(const std::uint8_t* a, std::uint8_t* out, std::size_t n)
-{
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i one = _mm_set1_epi8(1);
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i r = _mm_and_si128(_mm_cmpeq_epi8(va, zero), one);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), r);
-    }
-    if (i < n)
-        boolNotScalar(a + i, out + i, n - i);
-}
-
-#endif // UNCERTAIN_SIMD_X86 && __SSE2__
-
-// =====================================================================
 // AVX2: 4-lane double / u64 packs, gathers. Entered only after
 // runtime detection; the target attribute keeps the rest of the TU
 // baseline-encodable.
@@ -598,9 +360,12 @@ boolNotSse2(const std::uint8_t* a, std::uint8_t* out, std::size_t n)
 
 #if defined(UNCERTAIN_SIMD_X86)
 
-// As with the SSE2 layer: op dispatch is hoisted out of the vector
-// loops via template parameters (GCC cannot loop-unswitch through
-// intrinsics, and a per-iteration switch measured ~3.5x slower).
+// Op dispatch happens ONCE per strip, never per iteration: each op
+// gets its own tight loop via a template parameter. A `switch (op)`
+// inside the vector loop measured ~3.5x slower on the mul strip —
+// GCC cannot loop-unswitch across intrinsics, so the per-iteration
+// dispatch survives into the hot loop. (The scalar emulation kernels
+// above hoist the switch by hand for the same reason.)
 
 /** One 4-lane pack of a BinF64 op (shared by the column and
  *  broadcast-constant loops below). */
@@ -1068,147 +833,18 @@ zigguratAcceptAvx2(const std::uint64_t* words, std::size_t n,
 
 #endif // UNCERTAIN_SIMD_X86
 
-// =====================================================================
-// NEON: 2-lane double packs for the f64 strips (aarch64). Everything
-// else falls back to the scalar emulation.
-// =====================================================================
-
-#if defined(UNCERTAIN_SIMD_NEON)
-
-// Per-op loops, as in the x86 layers: the op dispatch must not sit
-// inside the vector loop (compilers do not unswitch intrinsics).
-template <BinF64 Op>
-void
-binaryF64NeonLoop(const double* a, const double* b, double* out,
-                  std::size_t n2)
-{
-    for (std::size_t i = 0; i < n2; i += 2) {
-        const float64x2_t va = vld1q_f64(a + i);
-        const float64x2_t vb = vld1q_f64(b + i);
-        float64x2_t r;
-        if constexpr (Op == BinF64::Add)
-            r = vaddq_f64(va, vb);
-        else if constexpr (Op == BinF64::Sub)
-            r = vsubq_f64(va, vb);
-        else if constexpr (Op == BinF64::Mul)
-            r = vmulq_f64(va, vb);
-        else if constexpr (Op == BinF64::Div)
-            r = vdivq_f64(va, vb);
-        else if constexpr (Op == BinF64::Min)
-            r = vbslq_f64(vcltq_f64(vb, va), vb, va);
-        else {
-            static_assert(Op == BinF64::Max);
-            r = vbslq_f64(vcltq_f64(va, vb), vb, va);
-        }
-        vst1q_f64(out + i, r);
-    }
-}
-
-void
-binaryF64Neon(BinF64 op, const double* a, const double* b, double* out,
-              std::size_t n)
-{
-    const std::size_t n2 = n & ~std::size_t{1};
-    switch (op) {
-    case BinF64::Add: binaryF64NeonLoop<BinF64::Add>(a, b, out, n2); break;
-    case BinF64::Sub: binaryF64NeonLoop<BinF64::Sub>(a, b, out, n2); break;
-    case BinF64::Mul: binaryF64NeonLoop<BinF64::Mul>(a, b, out, n2); break;
-    case BinF64::Div: binaryF64NeonLoop<BinF64::Div>(a, b, out, n2); break;
-    case BinF64::Min: binaryF64NeonLoop<BinF64::Min>(a, b, out, n2); break;
-    case BinF64::Max: binaryF64NeonLoop<BinF64::Max>(a, b, out, n2); break;
-    }
-    if (n2 < n)
-        binaryF64Scalar(op, a + n2, b + n2, out + n2, n - n2);
-}
-
-template <BinF64 Op, bool ConstOnB>
-void
-binaryF64ConstNeonLoop(const double* col, double c, double* out,
-                       std::size_t n2)
-{
-    const float64x2_t vc = vdupq_n_f64(c);
-    for (std::size_t i = 0; i < n2; i += 2) {
-        const float64x2_t vcol = vld1q_f64(col + i);
-        const float64x2_t va = ConstOnB ? vcol : vc;
-        const float64x2_t vb = ConstOnB ? vc : vcol;
-        float64x2_t r;
-        if constexpr (Op == BinF64::Add)
-            r = vaddq_f64(va, vb);
-        else if constexpr (Op == BinF64::Sub)
-            r = vsubq_f64(va, vb);
-        else if constexpr (Op == BinF64::Mul)
-            r = vmulq_f64(va, vb);
-        else if constexpr (Op == BinF64::Div)
-            r = vdivq_f64(va, vb);
-        else if constexpr (Op == BinF64::Min)
-            r = vbslq_f64(vcltq_f64(vb, va), vb, va);
-        else {
-            static_assert(Op == BinF64::Max);
-            r = vbslq_f64(vcltq_f64(va, vb), vb, va);
-        }
-        vst1q_f64(out + i, r);
-    }
-}
-
-template <bool ConstOnB>
-void
-binaryF64ConstNeon(BinF64 op, const double* col, double c, double* out,
-                   std::size_t n)
-{
-    const std::size_t n2 = n & ~std::size_t{1};
-    switch (op) {
-    case BinF64::Add:
-        binaryF64ConstNeonLoop<BinF64::Add, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Sub:
-        binaryF64ConstNeonLoop<BinF64::Sub, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Mul:
-        binaryF64ConstNeonLoop<BinF64::Mul, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Div:
-        binaryF64ConstNeonLoop<BinF64::Div, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Min:
-        binaryF64ConstNeonLoop<BinF64::Min, ConstOnB>(col, c, out, n2);
-        break;
-    case BinF64::Max:
-        binaryF64ConstNeonLoop<BinF64::Max, ConstOnB>(col, c, out, n2);
-        break;
-    }
-    if (n2 < n) {
-        if constexpr (ConstOnB)
-            binaryF64ConstBScalar(op, col + n2, c, out + n2, n - n2);
-        else
-            binaryF64ConstAScalar(op, c, col + n2, out + n2, n - n2);
-    }
-}
-
-void
-negF64Neon(const double* a, double* out, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_f64(out + i, vnegq_f64(vld1q_f64(a + i)));
-    if (i < n)
-        negF64Scalar(a + i, out + i, n - i);
-}
-
-#endif // UNCERTAIN_SIMD_NEON
-
 } // namespace
 
 // =====================================================================
 // Public dispatch.
 // =====================================================================
 
+
 Isa
 compiledIsa()
 {
 #if defined(UNCERTAIN_SIMD_X86)
     return Isa::Avx2;
-#elif defined(UNCERTAIN_SIMD_NEON)
-    return Isa::Neon;
 #else
     return Isa::Scalar;
 #endif
@@ -1226,7 +862,7 @@ activeIsa()
 {
     if (gForceScalar.load(std::memory_order_relaxed))
         return Isa::Scalar;
-    return clampIsa(compiledIsa());
+    return detectedIsa();
 }
 
 void
@@ -1244,42 +880,26 @@ forceScalar()
 std::size_t
 laneWidth(Isa isa)
 {
-    switch (clampIsa(isa)) {
-    case Isa::Avx2: return 4;
-    case Isa::Sse2: return 2;
-    case Isa::Neon: return 2;
-    case Isa::Scalar: break;
-    }
-    return 1;
+    return runsAvx2(isa) ? 4 : 1;
 }
 
 const char*
 isaName(Isa isa)
 {
-    switch (isa) {
-    case Isa::Avx2: return "avx2";
-    case Isa::Sse2: return "sse2";
-    case Isa::Neon: return "neon";
-    case Isa::Scalar: break;
-    }
-    return "scalar";
+    return isa == Isa::Avx2 ? "avx2" : "scalar";
 }
 
 void
 binaryF64(Isa isa, BinF64 op, const double* a, const double* b,
           double* out, std::size_t n)
 {
-    switch (clampIsa(isa)) {
 #if defined(UNCERTAIN_SIMD_X86)
-    case Isa::Avx2: binaryF64Avx2(op, a, b, out, n); return;
-#if defined(__SSE2__)
-    case Isa::Sse2: binaryF64Sse2(op, a, b, out, n); return;
-#endif
-#elif defined(UNCERTAIN_SIMD_NEON)
-    case Isa::Neon: binaryF64Neon(op, a, b, out, n); return;
-#endif
-    default: break;
+    if (runsAvx2(isa)) {
+        binaryF64Avx2(op, a, b, out, n);
+        return;
     }
+#endif
+    (void)isa;
     binaryF64Scalar(op, a, b, out, n);
 }
 
@@ -1287,17 +907,13 @@ void
 binaryF64ConstB(Isa isa, BinF64 op, const double* a, double b,
                 double* out, std::size_t n)
 {
-    switch (clampIsa(isa)) {
 #if defined(UNCERTAIN_SIMD_X86)
-    case Isa::Avx2: binaryF64ConstAvx2<true>(op, a, b, out, n); return;
-#if defined(__SSE2__)
-    case Isa::Sse2: binaryF64ConstSse2<true>(op, a, b, out, n); return;
-#endif
-#elif defined(UNCERTAIN_SIMD_NEON)
-    case Isa::Neon: binaryF64ConstNeon<true>(op, a, b, out, n); return;
-#endif
-    default: break;
+    if (runsAvx2(isa)) {
+        binaryF64ConstAvx2<true>(op, a, b, out, n);
+        return;
     }
+#endif
+    (void)isa;
     binaryF64ConstBScalar(op, a, b, out, n);
 }
 
@@ -1305,17 +921,13 @@ void
 binaryF64ConstA(Isa isa, BinF64 op, double a, const double* b,
                 double* out, std::size_t n)
 {
-    switch (clampIsa(isa)) {
 #if defined(UNCERTAIN_SIMD_X86)
-    case Isa::Avx2: binaryF64ConstAvx2<false>(op, b, a, out, n); return;
-#if defined(__SSE2__)
-    case Isa::Sse2: binaryF64ConstSse2<false>(op, b, a, out, n); return;
-#endif
-#elif defined(UNCERTAIN_SIMD_NEON)
-    case Isa::Neon: binaryF64ConstNeon<false>(op, b, a, out, n); return;
-#endif
-    default: break;
+    if (runsAvx2(isa)) {
+        binaryF64ConstAvx2<false>(op, b, a, out, n);
+        return;
     }
+#endif
+    (void)isa;
     binaryF64ConstAScalar(op, a, b, out, n);
 }
 
@@ -1323,15 +935,13 @@ void
 compareF64(Isa isa, Cmp op, const double* a, const double* b,
            std::uint8_t* out, std::size_t n)
 {
-    switch (clampIsa(isa)) {
 #if defined(UNCERTAIN_SIMD_X86)
-    case Isa::Avx2: compareF64Avx2(op, a, b, out, n); return;
-#if defined(__SSE2__)
-    case Isa::Sse2: compareF64Sse2(op, a, b, out, n); return;
-#endif
-#endif
-    default: break;
+    if (runsAvx2(isa)) {
+        compareF64Avx2(op, a, b, out, n);
+        return;
     }
+#endif
+    (void)isa;
     compareF64Scalar(op, a, b, out, n);
 }
 
@@ -1340,7 +950,7 @@ binaryI32(Isa isa, BinI32 op, const std::int32_t* a,
           const std::int32_t* b, std::int32_t* out, std::size_t n)
 {
 #if defined(UNCERTAIN_SIMD_X86)
-    if (clampIsa(isa) == Isa::Avx2) {
+    if (runsAvx2(isa)) {
         binaryI32Avx2(op, a, b, out, n);
         return;
     }
@@ -1354,7 +964,7 @@ compareI32(Isa isa, Cmp op, const std::int32_t* a, const std::int32_t* b,
            std::uint8_t* out, std::size_t n)
 {
 #if defined(UNCERTAIN_SIMD_X86)
-    if (clampIsa(isa) == Isa::Avx2) {
+    if (runsAvx2(isa)) {
         compareI32Avx2(op, a, b, out, n);
         return;
     }
@@ -1368,7 +978,7 @@ binaryI64(Isa isa, BinI64 op, const std::int64_t* a,
           const std::int64_t* b, std::int64_t* out, std::size_t n)
 {
 #if defined(UNCERTAIN_SIMD_X86)
-    if (clampIsa(isa) == Isa::Avx2) {
+    if (runsAvx2(isa)) {
         binaryI64Avx2(op, a, b, out, n);
         return;
     }
@@ -1381,47 +991,39 @@ void
 boolBinary(Isa isa, BoolOp op, const std::uint8_t* a,
            const std::uint8_t* b, std::uint8_t* out, std::size_t n)
 {
-    switch (clampIsa(isa)) {
 #if defined(UNCERTAIN_SIMD_X86)
-    case Isa::Avx2: boolBinaryAvx2(op, a, b, out, n); return;
-#if defined(__SSE2__)
-    case Isa::Sse2: boolBinarySse2(op, a, b, out, n); return;
-#endif
-#endif
-    default: break;
+    if (runsAvx2(isa)) {
+        boolBinaryAvx2(op, a, b, out, n);
+        return;
     }
+#endif
+    (void)isa;
     boolBinaryScalar(op, a, b, out, n);
 }
 
 void
 boolNot(Isa isa, const std::uint8_t* a, std::uint8_t* out, std::size_t n)
 {
-    switch (clampIsa(isa)) {
 #if defined(UNCERTAIN_SIMD_X86)
-    case Isa::Avx2: boolNotAvx2(a, out, n); return;
-#if defined(__SSE2__)
-    case Isa::Sse2: boolNotSse2(a, out, n); return;
-#endif
-#endif
-    default: break;
+    if (runsAvx2(isa)) {
+        boolNotAvx2(a, out, n);
+        return;
     }
+#endif
+    (void)isa;
     boolNotScalar(a, out, n);
 }
 
 void
 negF64(Isa isa, const double* a, double* out, std::size_t n)
 {
-    switch (clampIsa(isa)) {
 #if defined(UNCERTAIN_SIMD_X86)
-    case Isa::Avx2: negF64Avx2(a, out, n); return;
-#if defined(__SSE2__)
-    case Isa::Sse2: negF64Sse2(a, out, n); return;
-#endif
-#elif defined(UNCERTAIN_SIMD_NEON)
-    case Isa::Neon: negF64Neon(a, out, n); return;
-#endif
-    default: break;
+    if (runsAvx2(isa)) {
+        negF64Avx2(a, out, n);
+        return;
     }
+#endif
+    (void)isa;
     negF64Scalar(a, out, n);
 }
 
@@ -1430,7 +1032,7 @@ selectF64(Isa isa, const std::uint8_t* c, const double* x,
           const double* y, double* out, std::size_t n)
 {
 #if defined(UNCERTAIN_SIMD_X86)
-    if (clampIsa(isa) == Isa::Avx2) {
+    if (runsAvx2(isa)) {
         selectF64Avx2(c, x, y, out, n);
         return;
     }
@@ -1445,7 +1047,7 @@ zigguratAccept(Isa isa, const std::uint64_t* words, std::size_t n,
                double sigma, double* out, std::uint32_t* rejects)
 {
 #if defined(UNCERTAIN_SIMD_X86)
-    if (clampIsa(isa) == Isa::Avx2)
+    if (runsAvx2(isa))
         return zigguratAcceptAvx2(words, n, kn, wn, mu, sigma, out,
                                   rejects);
 #endif

@@ -13,12 +13,14 @@
  * bit-identical to the scalar interpreter (see docs/API.md
  * "Execution backends" for the fp contract).
  *
- * Every kernel takes an explicit Isa and internally clamps it to
- * what the binary was compiled with AND what the running CPU
- * supports, falling back through SSE2 to the portable scalar
- * emulation. Passing a too-new Isa is therefore always safe; tests
- * use explicit Isa values to check lane-width parity, production
- * callers pass activeIsa().
+ * There are two tiers: AVX2, and the portable scalar emulation that
+ * is the reference. Every kernel takes an explicit Isa and runs the
+ * AVX2 body only if the binary carries it AND the running CPU
+ * supports it; otherwise (a pre-AVX2 x86-64 CPU, aarch64 and every
+ * other non-x86-64 target, a -DUNCERTAIN_SIMD=OFF build) it runs the
+ * scalar emulation. Passing Isa::Avx2 is therefore always safe;
+ * tests use explicit Isa values to check lane-width parity,
+ * production callers pass activeIsa().
  *
  * Element order is never changed and floating point is never
  * reassociated: a binary kernel computes out[i] = a[i] op b[i] with
@@ -42,20 +44,19 @@ namespace simd {
 enum class Isa : std::uint8_t
 {
     Scalar = 0, //!< portable scalar emulation (always available)
-    Sse2 = 1,   //!< 2 x double / 2 x u64 packs (x86-64 baseline)
-    Avx2 = 2,   //!< 4 x double / 4 x u64 packs + gathers
-    Neon = 3,   //!< 2 x double packs (aarch64)
+    Avx2 = 1,   //!< 4 x double / 4 x u64 packs + gathers (x86-64)
 };
 
 /** Strongest Isa this binary carries code for (compile-time). */
 Isa compiledIsa();
 
-/** Strongest Isa the running CPU supports (runtime, cached). */
+/** Strongest Isa of this binary the running CPU supports (runtime,
+ *  cached): Avx2 only if compiledIsa() is Avx2 and the CPU has it. */
 Isa detectedIsa();
 
 /**
- * The Isa kernels actually execute: min(compiled, detected), or
- * Scalar while setForceScalar(true) is in effect. This is what
+ * The Isa kernels actually execute: detectedIsa(), or Scalar while
+ * setForceScalar(true) is in effect. This is what
  * PlanOptions::backend == Auto resolves against.
  */
 Isa activeIsa();
@@ -72,10 +73,11 @@ void setForceScalar(bool force);
 /** Current state of the force-scalar switch. */
 bool forceScalar();
 
-/** Doubles per vector register on @p isa (1 for Scalar). */
+/** Doubles per vector register a call with @p isa runs at: 4 if
+ *  it runs the AVX2 body, else 1. */
 std::size_t laneWidth(Isa isa);
 
-/** Human-readable name ("scalar", "sse2", "avx2", "neon"). */
+/** Human-readable name ("scalar", "avx2"). */
 const char* isaName(Isa isa);
 
 // ---- fused elementwise strip kernels --------------------------------

@@ -9,8 +9,9 @@
  *  1. Kernel parity — every lane-pack kernel, invoked with every Isa
  *     the dispatcher knows about, reproduces the scalar emulation bit
  *     for bit, including NaN propagation, signed zeros, infinities
- *     and odd tail lengths (kernels clamp unsupported Isas, so
- *     passing all of them is safe on any host).
+ *     and odd tail lengths (without AVX2 a kernel called with
+ *     Isa::Avx2 runs the scalar emulation, so passing both Isas is
+ *     safe on any host).
  *  2. Broadcast-constant forms — binaryF64ConstB/ConstA equal the
  *     column kernel over a splatted column for every op.
  *  3. RNG fills — Rng's bulk fills retrace the exact serial orbit:
@@ -89,9 +90,9 @@ class ForceJitOffGuard
     bool prev_;
 };
 
-/** Every Isa the dispatcher knows; kernels clamp unsupported ones. */
-constexpr simd::Isa kIsas[] = {simd::Isa::Scalar, simd::Isa::Sse2,
-                               simd::Isa::Avx2, simd::Isa::Neon};
+/** Every Isa the dispatcher knows; without AVX2 the kernels run the
+ *  scalar emulation for Isa::Avx2. */
+constexpr simd::Isa kIsas[] = {simd::Isa::Scalar, simd::Isa::Avx2};
 
 /** Lengths covering sub-pack, pack-aligned and unrolled+tail cases. */
 constexpr std::size_t kLengths[] = {1, 2, 3, 4, 7, 8, 15, 16,
@@ -185,14 +186,28 @@ TEST(SimdBackend, IsaIntrospectionIsConsistent)
     EXPECT_STREQ(simd::isaName(simd::Isa::Scalar), "scalar");
     EXPECT_STREQ(simd::isaName(simd::Isa::Avx2), "avx2");
 
-    // activeIsa is min(compiled, detected) unless forced scalar.
+    // activeIsa is the detected ISA unless forced scalar, and there
+    // are two tiers: AVX2 (4 lanes) or the scalar emulation.
     ForceScalarGuard off(false);
+    EXPECT_EQ(simd::activeIsa(), simd::detectedIsa());
     EXPECT_LE(static_cast<int>(simd::activeIsa()),
               static_cast<int>(simd::compiledIsa()));
+    const std::size_t lanes = simd::laneWidth(simd::activeIsa());
+    EXPECT_TRUE(lanes == 1u || lanes == 4u) << lanes;
+
+    // The JIT emits AVX2 only: available() implies an AVX2 kernel layer.
+    if (jit::available()) {
+        EXPECT_EQ(simd::activeIsa(), simd::Isa::Avx2);
+        EXPECT_STREQ(jit::codegenIsaName(), "avx2");
+    } else {
+        EXPECT_STREQ(jit::codegenIsaName(), "none");
+    }
     {
         ForceScalarGuard on(true);
         EXPECT_EQ(simd::activeIsa(), simd::Isa::Scalar);
         EXPECT_TRUE(simd::forceScalar());
+        EXPECT_FALSE(jit::available());
+        EXPECT_STREQ(jit::codegenIsaName(), "none");
     }
     EXPECT_FALSE(simd::forceScalar());
 }
@@ -594,7 +609,7 @@ TEST(SimdBackend, AutoBackendFallsBackUnderForceScalar)
         auto stats = planStats(expr, options);
         if (simd::activeIsa() != simd::Isa::Scalar) {
             EXPECT_TRUE(stats.simdStrips);
-            EXPECT_GE(stats.laneWidth, 2u);
+            EXPECT_EQ(stats.laneWidth, 4u);
             EXPECT_GT(stats.simdStripOps, 0u);
         } else {
             EXPECT_FALSE(stats.simdStrips);
