@@ -15,6 +15,10 @@ at all fails the job.
 Benchmarks present in only one file are reported but never fail the
 comparison (filters and engine axes legitimately differ across runs).
 
+Repetitions: when a file was written with --benchmark_repetitions,
+each benchmark is represented by its median aggregate row, not by a
+single repetition.
+
 Certification mode: when both files are BENCH_certification.json
 documents (top-level "certifications" key, written by
 bench_certification), the comparison switches to the certificate
@@ -105,20 +109,38 @@ def compare_certifications(base, cand, tolerance):
     return 0
 
 
+def throughput(bench):
+    """Higher-is-better rate of one row, or None when it has none."""
+    if "items_per_second" in bench:
+        return float(bench["items_per_second"])
+    if float(bench.get("real_time", 0.0)) > 0.0:
+        return 1.0 / float(bench["real_time"])
+    return None
+
+
 def load_benchmarks(path):
-    """Map benchmark name -> throughput (higher is better)."""
+    """Map benchmark name -> throughput (higher is better).
+
+    A run with --benchmark_repetitions writes one row per repetition
+    plus aggregate rows (mean, median, stddev, ...). The median
+    aggregate, keyed by its run_name, then stands for the benchmark,
+    so a gate reads the middle repetition rather than whichever one
+    ran last. A file without repetitions has one row per name, which
+    is used as is.
+    """
     data = load_json(path)
     result = {}
+    medians = {}
     for bench in data.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repetitions) so
-        # a repetition run compares raw iterations consistently.
-        if bench.get("run_type") == "aggregate":
+        value = throughput(bench)
+        if value is None:
             continue
-        name = bench["name"]
-        if "items_per_second" in bench:
-            result[name] = float(bench["items_per_second"])
-        elif float(bench.get("real_time", 0.0)) > 0.0:
-            result[name] = 1.0 / float(bench["real_time"])
+        if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") == "median":
+                medians[bench.get("run_name", bench["name"])] = value
+            continue
+        result[bench["name"]] = value
+    result.update(medians)
     return result
 
 

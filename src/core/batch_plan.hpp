@@ -17,8 +17,9 @@
  * (batch::StepInfo) describing what the kernel does: its kind (leaf /
  * constant / elementwise), output column, operand columns, the
  * functor's type identity, and typed helper closures (constant
- * folding, strip-mined fusion). The optimizer runs over those records
- * after lowering, in this order:
+ * folding, strip-mined fusion). Every elementwise step, whatever its
+ * arity, comes from one builder, batch::makeElementwiseStep. The
+ * optimizer runs over those records after lowering, in this order:
  *
  *   1. structural CSE   — interior steps with the same operator type
  *                         and the same (canonicalized) operand columns
@@ -49,7 +50,9 @@
  * Stream discipline: a block whose first sample has absolute index s
  * derives a block generator `base.split(s)` from the caller's Rng
  * snapshot, and the leaf with topological discovery index L draws its
- * column from `blockBase.split(L)`. The output is therefore a pure
+ * column from `blockBase.split(L)`. Inner nodes lower their operands
+ * left to right (core/node.hpp, ApplyNode), so L follows operand
+ * order. The output is therefore a pure
  * function of (seed, n, block size, graph shape): identical for any
  * thread count, though not bit-identical to the tree walk (the
  * conformance suite in tests/core/batch_equivalence_test.cpp pins the
@@ -74,6 +77,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <typeindex>
 #include <unordered_map>
@@ -453,6 +457,39 @@ stripDst(BatchWorkspace& ws, const StripLoc& loc, std::size_t base,
                : ws.template column<T>(loc.column).data() + base;
 }
 
+/** Kernel writing @p value over column @p col for the whole block. */
+template <typename T>
+BatchStep
+splatStep(std::size_t col, Store<T> value)
+{
+    return [col, value](BatchWorkspace& ws) {
+        auto* out = ws.template column<T>(col).data();
+        const std::size_t n = ws.length();
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = value;
+    };
+}
+
+/** out[i] = op(src[i]...) for i in [0, n): the elementwise loop of
+ *  every full-block kernel and scalar strip. */
+template <typename R, typename F, typename... Srcs>
+void
+applyLoop(const F& op, Store<R>* out, std::size_t n, const Srcs*... srcs)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<Store<R>>(op(srcs[i]...));
+}
+
+/** The first @p N operand locations of a strip micro-op. */
+template <std::size_t N>
+std::array<StripLoc, N>
+stripLocs(const std::vector<StripLoc>& srcs)
+{
+    std::array<StripLoc, N> locs;
+    std::copy_n(srcs.begin(), N, locs.begin());
+    return locs;
+}
+
 } // namespace detail_ir
 
 /** StepInfo for a point mass of type T splatted over column @p col. */
@@ -468,12 +505,7 @@ makeConstStep(std::size_t col, const T& value)
     // share a store type but their Column<T> instantiations differ,
     // so they must never be merged or share a recycled slot.
     info.outType = std::type_index(typeid(T));
-    info.run = [col, value](BatchWorkspace& ws) {
-        auto* out = ws.template column<T>(col).data();
-        const std::size_t n = ws.length();
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = static_cast<S>(value);
-    };
+    info.run = detail_ir::splatStep<T>(col, static_cast<S>(value));
     if constexpr (std::is_trivially_copyable_v<S>) {
         info.constBytes = detail_ir::objectBytes<T>(static_cast<S>(value));
         info.cseSafe = true;
@@ -481,308 +513,141 @@ makeConstStep(std::size_t col, const T& value)
     return info;
 }
 
-/** StepInfo for a unary elementwise op R = op(A) into column @p col. */
-template <typename R, typename A, typename F>
+/**
+ * StepInfo for an elementwise op R = op(As...) into column @p col,
+ * reading operand column operands[k] for argument k. One builder for
+ * every arity: the full-block kernel, the fold, the scalar and SIMD
+ * strips and the JIT mapping are each written once over the pack.
+ */
+template <typename R, typename... As, typename F>
 StepInfo
-makeUnaryStep(std::size_t col, std::size_t operand, F op)
+makeElementwiseStep(std::size_t col,
+                    std::array<std::size_t, sizeof...(As)> operands, F op)
 {
+    constexpr std::size_t N = sizeof...(As);
+    using Indices = std::index_sequence_for<As...>;
     using SR = Store<R>;
     StepInfo info;
     info.kind = StepKind::Elementwise;
     info.out = col;
-    info.operands = {operand};
+    info.operands.assign(operands.begin(), operands.end());
     info.opType = std::type_index(typeid(F));
     info.outType = std::type_index(typeid(R));
     info.cseSafe = std::is_empty_v<F>;
-    info.run = [col, operand, op](BatchWorkspace& ws) {
-        const auto* a = ws.template column<A>(operand).data();
-        auto* out = ws.template column<R>(col).data();
-        const std::size_t n = ws.length();
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = static_cast<SR>(op(a[i]));
+    info.run = [col, operands, op](BatchWorkspace& ws) {
+        [&]<std::size_t... I>(std::index_sequence<I...>) {
+            detail_ir::applyLoop<R>(
+                op, ws.template column<R>(col).data(), ws.length(),
+                ws.template column<As>(operands[I]).data()...);
+        }(Indices{});
     };
-    if constexpr (detail_ir::kRegisterable<R>
-                  && detail_ir::kRegisterable<A>) {
+    if constexpr ((detail_ir::kRegisterable<R> && ...
+                   && detail_ir::kRegisterable<As>)) {
         info.fold =
             [col, op](const std::vector<const unsigned char*>& vals)
             -> FoldedConst {
-            const auto a = detail_ir::fromBytes<A>(vals[0]);
-            const SR r = static_cast<SR>(op(static_cast<A>(a)));
+            const SR r = [&]<std::size_t... I>(std::index_sequence<I...>) {
+                return static_cast<SR>(op(static_cast<As>(
+                    detail_ir::fromBytes<As>(vals[I]))...));
+            }(Indices{});
             FoldedConst folded;
             folded.bytes = detail_ir::objectBytes<R>(r);
-            folded.splat = [col, r](BatchWorkspace& ws) {
-                auto* out = ws.template column<R>(col).data();
-                const std::size_t n = ws.length();
-                for (std::size_t i = 0; i < n; ++i)
-                    out[i] = r;
-            };
+            folded.splat = detail_ir::splatStep<R>(col, r);
             return folded;
         };
         info.makeStrip = [op](const std::vector<StripLoc>& srcs,
                               const StripLoc& dst) -> StripOp {
-            const StripLoc sa = srcs[0];
-            return [sa, dst, op](BatchWorkspace& ws, std::size_t base,
-                                 std::size_t n, unsigned char* scratch) {
-                const auto* a =
-                    detail_ir::stripSrc<A>(ws, sa, base, scratch);
-                auto* out = detail_ir::stripDst<R>(ws, dst, base, scratch);
-                for (std::size_t i = 0; i < n; ++i)
-                    out[i] = static_cast<SR>(op(a[i]));
+            const auto locs = detail_ir::stripLocs<N>(srcs);
+            return [locs, dst, op](BatchWorkspace& ws, std::size_t base,
+                                   std::size_t n, unsigned char* scratch) {
+                [&]<std::size_t... I>(std::index_sequence<I...>) {
+                    detail_ir::applyLoop<R>(
+                        op, detail_ir::stripDst<R>(ws, dst, base, scratch),
+                        n,
+                        detail_ir::stripSrc<As>(ws, locs[I], base,
+                                                scratch)...);
+                }(Indices{});
             };
         };
-        if constexpr (simd::VectorForm<F, R, A>::available) {
+        if constexpr (simd::VectorForm<F, R, As...>::available) {
             info.makeStripSimd =
                 [](const std::vector<StripLoc>& srcs,
                    const StripLoc& dst) -> StripOp {
-                const StripLoc sa = srcs[0];
-                return [sa, dst](BatchWorkspace& ws, std::size_t base,
-                                 std::size_t n,
-                                 unsigned char* scratch) {
-                    const auto* a =
-                        detail_ir::stripSrc<A>(ws, sa, base, scratch);
-                    auto* out =
-                        detail_ir::stripDst<R>(ws, dst, base, scratch);
-                    simd::VectorForm<F, R, A>::run(simd::activeIsa(),
-                                                   a, out, n);
-                };
-            };
-        }
-        if constexpr (jit::OpFor<F, R, A>::available) {
-            info.jitable = true;
-            info.jitOp = jit::OpFor<F, R, A>::op;
-        }
-    }
-    return info;
-}
-
-/** StepInfo for a binary elementwise op R = op(A, B) into @p col. */
-template <typename R, typename A, typename B, typename F>
-StepInfo
-makeBinaryStep(std::size_t col, std::size_t lhs, std::size_t rhs, F op)
-{
-    using SR = Store<R>;
-    StepInfo info;
-    info.kind = StepKind::Elementwise;
-    info.out = col;
-    info.operands = {lhs, rhs};
-    info.opType = std::type_index(typeid(F));
-    info.outType = std::type_index(typeid(R));
-    info.cseSafe = std::is_empty_v<F>;
-    info.run = [col, lhs, rhs, op](BatchWorkspace& ws) {
-        const auto* a = ws.template column<A>(lhs).data();
-        const auto* b = ws.template column<B>(rhs).data();
-        auto* out = ws.template column<R>(col).data();
-        const std::size_t n = ws.length();
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = static_cast<SR>(op(a[i], b[i]));
-    };
-    if constexpr (detail_ir::kRegisterable<R>
-                  && detail_ir::kRegisterable<A>
-                  && detail_ir::kRegisterable<B>) {
-        info.fold =
-            [col, op](const std::vector<const unsigned char*>& vals)
-            -> FoldedConst {
-            const auto a = detail_ir::fromBytes<A>(vals[0]);
-            const auto b = detail_ir::fromBytes<B>(vals[1]);
-            const SR r = static_cast<SR>(
-                op(static_cast<A>(a), static_cast<B>(b)));
-            FoldedConst folded;
-            folded.bytes = detail_ir::objectBytes<R>(r);
-            folded.splat = [col, r](BatchWorkspace& ws) {
-                auto* out = ws.template column<R>(col).data();
-                const std::size_t n = ws.length();
-                for (std::size_t i = 0; i < n; ++i)
-                    out[i] = r;
-            };
-            return folded;
-        };
-        info.makeStrip = [op](const std::vector<StripLoc>& srcs,
-                              const StripLoc& dst) -> StripOp {
-            const StripLoc sa = srcs[0];
-            const StripLoc sb = srcs[1];
-            return [sa, sb, dst, op](BatchWorkspace& ws,
-                                     std::size_t base, std::size_t n,
-                                     unsigned char* scratch) {
-                const auto* a =
-                    detail_ir::stripSrc<A>(ws, sa, base, scratch);
-                const auto* b =
-                    detail_ir::stripSrc<B>(ws, sb, base, scratch);
-                auto* out = detail_ir::stripDst<R>(ws, dst, base, scratch);
-                for (std::size_t i = 0; i < n; ++i)
-                    out[i] = static_cast<SR>(op(a[i], b[i]));
-            };
-        };
-        if constexpr (simd::VectorForm<F, R, A, B>::available) {
-            info.makeStripSimd =
-                [](const std::vector<StripLoc>& srcs,
-                   const StripLoc& dst) -> StripOp {
-                using VF = simd::VectorForm<F, R, A, B>;
-                const StripLoc sa = srcs[0];
-                const StripLoc sb = srcs[1];
-                // When one operand is a hoisted point mass (and its
-                // payload fits the StripLoc hint), broadcast it in a
-                // register instead of streaming the splatted column —
-                // same per-element arithmetic, one fewer load stream.
-                if constexpr (requires(simd::Isa isa,
-                                       const Store<A>* a, Store<B> b,
-                                       Store<R>* o, std::size_t n) {
-                                  VF::runConstB(isa, a, b, o, n);
-                              }) {
-                    if (sb.isConst && !sa.isConst
-                        && sizeof(Store<B>)
-                               <= StripLoc::kConstHintBytes) {
-                        const auto bc = detail_ir::fromBytes<B>(
-                            sb.constBytes.data());
-                        return [sa, dst, bc](BatchWorkspace& ws,
-                                             std::size_t base,
-                                             std::size_t n,
-                                             unsigned char* scratch) {
-                            const auto* a = detail_ir::stripSrc<A>(
-                                ws, sa, base, scratch);
-                            auto* out = detail_ir::stripDst<R>(
-                                ws, dst, base, scratch);
-                            VF::runConstB(simd::activeIsa(), a, bc,
-                                          out, n);
-                        };
+                using VF = simd::VectorForm<F, R, As...>;
+                const auto locs = detail_ir::stripLocs<N>(srcs);
+                if constexpr (N == 2) {
+                    using A = std::tuple_element_t<0, std::tuple<As...>>;
+                    using B = std::tuple_element_t<1, std::tuple<As...>>;
+                    const StripLoc sa = locs[0];
+                    const StripLoc sb = locs[1];
+                    // When one operand is a hoisted point mass (and its
+                    // payload fits the StripLoc hint), broadcast it in a
+                    // register instead of streaming the splatted column
+                    // — same per-element arithmetic, one fewer load
+                    // stream.
+                    if constexpr (requires(simd::Isa isa,
+                                           const Store<A>* a, Store<B> b,
+                                           Store<R>* o, std::size_t n) {
+                                      VF::runConstB(isa, a, b, o, n);
+                                  }) {
+                        if (sb.isConst && !sa.isConst
+                            && sizeof(Store<B>)
+                                   <= StripLoc::kConstHintBytes) {
+                            const auto bc = detail_ir::fromBytes<B>(
+                                sb.constBytes.data());
+                            return [sa, dst, bc](BatchWorkspace& ws,
+                                                 std::size_t base,
+                                                 std::size_t n,
+                                                 unsigned char* scratch) {
+                                const auto* a = detail_ir::stripSrc<A>(
+                                    ws, sa, base, scratch);
+                                auto* out = detail_ir::stripDst<R>(
+                                    ws, dst, base, scratch);
+                                VF::runConstB(simd::activeIsa(), a, bc,
+                                              out, n);
+                            };
+                        }
+                    }
+                    if constexpr (requires(simd::Isa isa, Store<A> a,
+                                           const Store<B>* b, Store<R>* o,
+                                           std::size_t n) {
+                                      VF::runConstA(isa, a, b, o, n);
+                                  }) {
+                        if (sa.isConst && !sb.isConst
+                            && sizeof(Store<A>)
+                                   <= StripLoc::kConstHintBytes) {
+                            const auto ac = detail_ir::fromBytes<A>(
+                                sa.constBytes.data());
+                            return [sb, dst, ac](BatchWorkspace& ws,
+                                                 std::size_t base,
+                                                 std::size_t n,
+                                                 unsigned char* scratch) {
+                                const auto* b = detail_ir::stripSrc<B>(
+                                    ws, sb, base, scratch);
+                                auto* out = detail_ir::stripDst<R>(
+                                    ws, dst, base, scratch);
+                                VF::runConstA(simd::activeIsa(), ac, b,
+                                              out, n);
+                            };
+                        }
                     }
                 }
-                if constexpr (requires(simd::Isa isa, Store<A> a,
-                                       const Store<B>* b, Store<R>* o,
-                                       std::size_t n) {
-                                  VF::runConstA(isa, a, b, o, n);
-                              }) {
-                    if (sa.isConst && !sb.isConst
-                        && sizeof(Store<A>)
-                               <= StripLoc::kConstHintBytes) {
-                        const auto ac = detail_ir::fromBytes<A>(
-                            sa.constBytes.data());
-                        return [sb, dst, ac](BatchWorkspace& ws,
-                                             std::size_t base,
-                                             std::size_t n,
-                                             unsigned char* scratch) {
-                            const auto* b = detail_ir::stripSrc<B>(
-                                ws, sb, base, scratch);
-                            auto* out = detail_ir::stripDst<R>(
-                                ws, dst, base, scratch);
-                            VF::runConstA(simd::activeIsa(), ac, b,
-                                          out, n);
-                        };
-                    }
-                }
-                return [sa, sb, dst](BatchWorkspace& ws,
-                                     std::size_t base, std::size_t n,
-                                     unsigned char* scratch) {
-                    const auto* a =
-                        detail_ir::stripSrc<A>(ws, sa, base, scratch);
-                    const auto* b =
-                        detail_ir::stripSrc<B>(ws, sb, base, scratch);
-                    auto* out =
-                        detail_ir::stripDst<R>(ws, dst, base, scratch);
-                    VF::run(simd::activeIsa(), a, b, out, n);
+                return [locs, dst](BatchWorkspace& ws, std::size_t base,
+                                   std::size_t n, unsigned char* scratch) {
+                    [&]<std::size_t... I>(std::index_sequence<I...>) {
+                        VF::run(simd::activeIsa(),
+                                detail_ir::stripSrc<As>(ws, locs[I], base,
+                                                        scratch)...,
+                                detail_ir::stripDst<R>(ws, dst, base,
+                                                       scratch),
+                                n);
+                    }(Indices{});
                 };
             };
         }
-        if constexpr (jit::OpFor<F, R, A, B>::available) {
+        if constexpr (jit::OpFor<F, R, As...>::available) {
             info.jitable = true;
-            info.jitOp = jit::OpFor<F, R, A, B>::op;
-        }
-    }
-    return info;
-}
-
-/** StepInfo for a ternary elementwise op R = op(A, B, C) into @p col. */
-template <typename R, typename A, typename B, typename C, typename F>
-StepInfo
-makeTernaryStep(std::size_t col, std::size_t first, std::size_t second,
-                std::size_t third, F op)
-{
-    using SR = Store<R>;
-    StepInfo info;
-    info.kind = StepKind::Elementwise;
-    info.out = col;
-    info.operands = {first, second, third};
-    info.opType = std::type_index(typeid(F));
-    info.outType = std::type_index(typeid(R));
-    info.cseSafe = std::is_empty_v<F>;
-    info.run = [col, first, second, third, op](BatchWorkspace& ws) {
-        const auto* a = ws.template column<A>(first).data();
-        const auto* b = ws.template column<B>(second).data();
-        const auto* c = ws.template column<C>(third).data();
-        auto* out = ws.template column<R>(col).data();
-        const std::size_t n = ws.length();
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = static_cast<SR>(op(a[i], b[i], c[i]));
-    };
-    if constexpr (detail_ir::kRegisterable<R>
-                  && detail_ir::kRegisterable<A>
-                  && detail_ir::kRegisterable<B>
-                  && detail_ir::kRegisterable<C>) {
-        info.fold =
-            [col, op](const std::vector<const unsigned char*>& vals)
-            -> FoldedConst {
-            const auto a = detail_ir::fromBytes<A>(vals[0]);
-            const auto b = detail_ir::fromBytes<B>(vals[1]);
-            const auto c = detail_ir::fromBytes<C>(vals[2]);
-            const SR r = static_cast<SR>(op(static_cast<A>(a),
-                                            static_cast<B>(b),
-                                            static_cast<C>(c)));
-            FoldedConst folded;
-            folded.bytes = detail_ir::objectBytes<R>(r);
-            folded.splat = [col, r](BatchWorkspace& ws) {
-                auto* out = ws.template column<R>(col).data();
-                const std::size_t n = ws.length();
-                for (std::size_t i = 0; i < n; ++i)
-                    out[i] = r;
-            };
-            return folded;
-        };
-        info.makeStrip = [op](const std::vector<StripLoc>& srcs,
-                              const StripLoc& dst) -> StripOp {
-            const StripLoc sa = srcs[0];
-            const StripLoc sb = srcs[1];
-            const StripLoc sc = srcs[2];
-            return [sa, sb, sc, dst, op](BatchWorkspace& ws,
-                                         std::size_t base,
-                                         std::size_t n,
-                                         unsigned char* scratch) {
-                const auto* a =
-                    detail_ir::stripSrc<A>(ws, sa, base, scratch);
-                const auto* b =
-                    detail_ir::stripSrc<B>(ws, sb, base, scratch);
-                const auto* c =
-                    detail_ir::stripSrc<C>(ws, sc, base, scratch);
-                auto* out = detail_ir::stripDst<R>(ws, dst, base, scratch);
-                for (std::size_t i = 0; i < n; ++i)
-                    out[i] = static_cast<SR>(op(a[i], b[i], c[i]));
-            };
-        };
-        if constexpr (simd::VectorForm<F, R, A, B, C>::available) {
-            info.makeStripSimd =
-                [](const std::vector<StripLoc>& srcs,
-                   const StripLoc& dst) -> StripOp {
-                const StripLoc sa = srcs[0];
-                const StripLoc sb = srcs[1];
-                const StripLoc sc = srcs[2];
-                return [sa, sb, sc, dst](BatchWorkspace& ws,
-                                         std::size_t base,
-                                         std::size_t n,
-                                         unsigned char* scratch) {
-                    const auto* a =
-                        detail_ir::stripSrc<A>(ws, sa, base, scratch);
-                    const auto* b =
-                        detail_ir::stripSrc<B>(ws, sb, base, scratch);
-                    const auto* c =
-                        detail_ir::stripSrc<C>(ws, sc, base, scratch);
-                    auto* out =
-                        detail_ir::stripDst<R>(ws, dst, base, scratch);
-                    simd::VectorForm<F, R, A, B, C>::run(
-                        simd::activeIsa(), a, b, c, out, n);
-                };
-            };
-        }
-        if constexpr (jit::OpFor<F, R, A, B, C>::available) {
-            info.jitable = true;
-            info.jitOp = jit::OpFor<F, R, A, B, C>::op;
+            info.jitOp = jit::OpFor<F, R, As...>::op;
         }
     }
     return info;

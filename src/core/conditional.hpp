@@ -54,7 +54,7 @@ struct ConditionalOptions
     stats::SprtOptions sprt{};
     /** Interim analyses for the group-sequential strategy. */
     std::size_t groupLooks = 5;
-    /** Sample size for the fixed-size strategy. */
+    /** Sample size for the fixed-size strategy; must be >= 1. */
     std::size_t fixedSamples = 100;
     /** Closed-form bypass policy (see ExactRouting). */
     ExactRouting exactRouting = ExactRouting::Auto;
@@ -152,6 +152,8 @@ evaluateCondition(Sampler&& draw, double threshold,
       }
 
       case ConditionalStrategy::FixedSample: {
+        UNCERTAIN_REQUIRE(options.fixedSamples >= 1,
+                          "fixedSamples must be >= 1");
         std::size_t successes = 0;
         for (std::size_t i = 0; i < options.fixedSamples; ++i) {
             successes += draw() ? 1 : 0;
@@ -209,8 +211,7 @@ evaluateConditionChunked(ChunkSampler&& drawChunk, double threshold,
         // Default to the SPRT batch ("step size k"); the caller may
         // widen chunks to amortize fan-out overhead.
         const std::size_t batch =
-            chunkSize > 0 ? chunkSize
-                          : std::max<std::size_t>(options.sprt.batchSize, 1);
+            chunkSize > 0 ? chunkSize : options.sprt.batchSize;
         std::size_t drawn = 0;
         while (!test.isDecided() && !test.isCapped()) {
             std::size_t count =
@@ -243,6 +244,8 @@ evaluateConditionChunked(ChunkSampler&& drawChunk, double threshold,
       }
 
       case ConditionalStrategy::FixedSample: {
+        UNCERTAIN_REQUIRE(options.fixedSamples >= 1,
+                          "fixedSamples must be >= 1");
         draw(0, options.fixedSamples);
         std::size_t successes = 0;
         for (std::size_t i = 0; i < options.fixedSamples; ++i)

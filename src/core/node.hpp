@@ -20,13 +20,19 @@
  * core/batch.hpp relies on the same property when a BlockScheduler
  * runs its blocks on several threads.
  *
+ * There is one kind of inner node, ApplyNode, for operators of any
+ * arity: map (1), the lifted operators (2) and select (3). It samples
+ * and lowers its operands strictly left to right.
+ *
  * Besides the per-sample tree walk, every node knows how to lower
  * itself into the columnar batch plan of core/batch_plan.hpp
  * (Node::lowerInto): leaves become bulk-fill kernels over one Rng
  * stream per leaf, inner nodes become element-wise kernels over their
- * operand columns. The interning in BatchBuilder gives shared
- * subexpressions a single column, which is the batch engine's version
- * of the epoch memo.
+ * operand columns. Because operands are lowered in order, leaves get
+ * their stream indices in the order a left-to-right depth-first walk
+ * first reaches them.
+ * The interning in BatchBuilder gives shared subexpressions a single
+ * column, which is the batch engine's version of the epoch memo.
  *
  * A third lowering (Node::lowerExact) targets the enumeration backend
  * of src/exact: nodes become joint support tables, giving pr() and
@@ -38,11 +44,13 @@
 #ifndef UNCERTAIN_CORE_NODE_HPP
 #define UNCERTAIN_CORE_NODE_HPP
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -400,20 +408,34 @@ class PointMassNode final : public Node<T>
 };
 
 /**
- * Inner node applying a binary base-type operator to two operand
- * variables. The conditional distribution Pr[this | a, b] is the
- * point mass at f(a, b), exactly the paper's semantics for inner
- * nodes.
+ * Inner node applying a base-type operator of any arity to its
+ * operand variables: the lifted operators (arity 2), map (arity 1)
+ * and select (arity 3) all construct it. The conditional
+ * distribution Pr[this | operands] is the point mass at
+ * f(operands...), exactly the paper's semantics for inner nodes.
+ * Every operand is sampled on every pass — select() is a lifted
+ * function of three variables, not short-circuit control flow.
+ *
+ * Operands are sampled and lowered strictly left to right, so the
+ * tree walk's randomness stream and the batch plan's leaf stream
+ * indices are pure functions of the graph and seed. Each pack
+ * expansion below sits in a braced-init-list, which sequences its
+ * elements in order; function-call arguments would not.
  */
-template <typename R, typename A, typename B, typename F>
-class BinaryNode final : public Node<R>
+template <typename R, typename F, typename... As>
+class ApplyNode final : public Node<R>
 {
+    static_assert(sizeof...(As) >= 1, "an inner node needs operands");
+
   public:
-    BinaryNode(NodePtr<A> lhs, NodePtr<B> rhs, F op, std::string label)
-        : lhs_(std::move(lhs)), rhs_(std::move(rhs)), op_(std::move(op)),
+    ApplyNode(F op, std::string label, NodePtr<As>... operands)
+        : operands_(std::move(operands)...), op_(std::move(op)),
           label_(std::move(label))
     {
-        UNCERTAIN_ASSERT(lhs_ && rhs_, "binary node requires operands");
+        UNCERTAIN_ASSERT(std::apply([](const auto&... operand) {
+                             return (... && (operand != nullptr));
+                         }, operands_),
+                         "inner node requires operands");
     }
 
     std::string opName() const override { return label_; }
@@ -421,162 +443,55 @@ class BinaryNode final : public Node<R>
     std::vector<std::shared_ptr<const GraphNode>>
     children() const override
     {
-        return {lhs_, rhs_};
+        return std::apply([](const auto&... operand) {
+            return std::vector<std::shared_ptr<const GraphNode>>{
+                operand...};
+        }, operands_);
     }
 
   protected:
     R doSample(SampleContext& ctx) const override
     {
-        // Operand order is fixed so the randomness stream is
-        // deterministic for a given graph and seed.
-        A a = lhs_->sample(ctx);
-        B b = rhs_->sample(ctx);
-        return op_(a, b);
+        return std::apply([&](const auto&... operand) -> R {
+            std::tuple<As...> values{operand->sample(ctx)...};
+            return std::apply(op_, std::move(values));
+        }, operands_);
     }
 
     std::size_t
     doLower(BatchBuilder& builder) const override
     {
-        // Operands first (same fixed order as doSample), so leaf
-        // stream indices are a pure function of the graph shape.
-        const std::size_t lhs = lhs_->lowerInto(builder);
-        const std::size_t rhs = rhs_->lowerInto(builder);
+        const auto operands = eachOperand([&](const auto& operand) {
+            return operand.lowerInto(builder);
+        });
         const std::size_t col = builder.addColumn<R>(this);
-        builder.addStep(batch::makeBinaryStep<R, A, B>(col, lhs, rhs, op_));
+        builder.addStep(
+            batch::makeElementwiseStep<R, As...>(col, operands, op_));
         return col;
     }
 
     std::size_t
     doLowerExact(exact::ExactBuilder& builder) const override
     {
-        const std::size_t lhs = lhs_->lowerExact(builder);
-        const std::size_t rhs = rhs_->lowerExact(builder);
-        return builder.addBinary<R, A, B>(this, lhs, rhs, op_);
+        const auto operands = eachOperand([&](const auto& operand) {
+            return operand.lowerExact(builder);
+        });
+        return builder.addApply<R, As...>(this, operands, op_);
     }
 
   private:
-    NodePtr<A> lhs_;
-    NodePtr<B> rhs_;
-    F op_;
-    std::string label_;
-};
-
-/** Inner node applying a unary base-type operator. */
-template <typename R, typename A, typename F>
-class UnaryNode final : public Node<R>
-{
-  public:
-    UnaryNode(NodePtr<A> operand, F op, std::string label)
-        : operand_(std::move(operand)), op_(std::move(op)),
-          label_(std::move(label))
+    /** @p visit applied to each operand node, left to right. */
+    template <typename Visit>
+    std::array<std::size_t, sizeof...(As)>
+    eachOperand(Visit&& visit) const
     {
-        UNCERTAIN_ASSERT(operand_ != nullptr,
-                         "unary node requires an operand");
+        return std::apply([&](const auto&... operand) {
+            return std::array<std::size_t, sizeof...(As)>{
+                visit(*operand)...};
+        }, operands_);
     }
 
-    std::string opName() const override { return label_; }
-
-    std::vector<std::shared_ptr<const GraphNode>>
-    children() const override
-    {
-        return {operand_};
-    }
-
-  protected:
-    R doSample(SampleContext& ctx) const override
-    {
-        return op_(operand_->sample(ctx));
-    }
-
-    std::size_t
-    doLower(BatchBuilder& builder) const override
-    {
-        const std::size_t operand = operand_->lowerInto(builder);
-        const std::size_t col = builder.addColumn<R>(this);
-        builder.addStep(batch::makeUnaryStep<R, A>(col, operand, op_));
-        return col;
-    }
-
-    std::size_t
-    doLowerExact(exact::ExactBuilder& builder) const override
-    {
-        const std::size_t operand = operand_->lowerExact(builder);
-        return builder.addUnary<R, A>(this, operand, op_);
-    }
-
-  private:
-    NodePtr<A> operand_;
-    F op_;
-    std::string label_;
-};
-
-/**
- * Inner node applying a ternary base-type operator. Introduced for
- * lifted selection (uncertain::select) so per-sample branching is a
- * single node — one shared draw of the condition per pass — instead
- * of an opaque sampler.
- */
-template <typename R, typename A, typename B, typename C, typename F>
-class TernaryNode final : public Node<R>
-{
-  public:
-    TernaryNode(NodePtr<A> first, NodePtr<B> second, NodePtr<C> third,
-                F op, std::string label)
-        : first_(std::move(first)), second_(std::move(second)),
-          third_(std::move(third)), op_(std::move(op)),
-          label_(std::move(label))
-    {
-        UNCERTAIN_ASSERT(first_ && second_ && third_,
-                         "ternary node requires operands");
-    }
-
-    std::string opName() const override { return label_; }
-
-    std::vector<std::shared_ptr<const GraphNode>>
-    children() const override
-    {
-        return {first_, second_, third_};
-    }
-
-  protected:
-    R doSample(SampleContext& ctx) const override
-    {
-        // Fixed operand order, as in BinaryNode: the randomness
-        // stream is deterministic for a given graph and seed. All
-        // three operands are sampled — select() is a lifted function
-        // of three variables, not short-circuit control flow.
-        A a = first_->sample(ctx);
-        B b = second_->sample(ctx);
-        C c = third_->sample(ctx);
-        return op_(a, b, c);
-    }
-
-    std::size_t
-    doLower(BatchBuilder& builder) const override
-    {
-        const std::size_t first = first_->lowerInto(builder);
-        const std::size_t second = second_->lowerInto(builder);
-        const std::size_t third = third_->lowerInto(builder);
-        const std::size_t col = builder.addColumn<R>(this);
-        builder.addStep(batch::makeTernaryStep<R, A, B, C>(
-            col, first, second, third, op_));
-        return col;
-    }
-
-    std::size_t
-    doLowerExact(exact::ExactBuilder& builder) const override
-    {
-        const std::size_t first = first_->lowerExact(builder);
-        const std::size_t second = second_->lowerExact(builder);
-        const std::size_t third = third_->lowerExact(builder);
-        return builder.addTernary<R, A, B, C>(this, first, second,
-                                              third, op_);
-    }
-
-  private:
-    NodePtr<A> first_;
-    NodePtr<B> second_;
-    NodePtr<C> third_;
+    std::tuple<NodePtr<As>...> operands_;
     F op_;
     std::string label_;
 };

@@ -51,8 +51,8 @@ liftBinary(F f, const Uncertain<A>& a, const Uncertain<B>& b,
     -> Uncertain<std::decay_t<std::invoke_result_t<F, A, B>>>
 {
     using R = std::decay_t<std::invoke_result_t<F, A, B>>;
-    return Uncertain<R>(std::make_shared<core::BinaryNode<R, A, B, F>>(
-        a.node(), b.node(), std::move(f), std::move(label)));
+    return Uncertain<R>(std::make_shared<core::ApplyNode<R, F, A, B>>(
+        std::move(f), std::move(label), a.node(), b.node()));
 }
 
 /** Lift an arbitrary unary function (same as Uncertain::map). */
@@ -75,10 +75,8 @@ liftTernary(F f, const Uncertain<A>& a, const Uncertain<B>& b,
     -> Uncertain<std::decay_t<std::invoke_result_t<F, A, B, C>>>
 {
     using R = std::decay_t<std::invoke_result_t<F, A, B, C>>;
-    return Uncertain<R>(
-        std::make_shared<core::TernaryNode<R, A, B, C, F>>(
-            a.node(), b.node(), c.node(), std::move(f),
-            std::move(label)));
+    return Uncertain<R>(std::make_shared<core::ApplyNode<R, F, A, B, C>>(
+        std::move(f), std::move(label), a.node(), b.node(), c.node()));
 }
 
 } // namespace core

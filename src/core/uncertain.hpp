@@ -227,9 +227,8 @@ class Uncertain
         -> Uncertain<std::decay_t<std::invoke_result_t<F, T>>>
     {
         using R = std::decay_t<std::invoke_result_t<F, T>>;
-        return Uncertain<R>(
-            std::make_shared<core::UnaryNode<R, T, F>>(
-                node_, std::move(f), std::move(label)));
+        return Uncertain<R>(std::make_shared<core::ApplyNode<R, F, T>>(
+            std::move(f), std::move(label), node_));
     }
 
     // ------------------------------------------------------------------
@@ -628,14 +627,13 @@ makeCorrelated(std::function<std::pair<A, B>(Rng&)> jointSampler,
     auto takeFirst = [](const std::pair<A, B>& p) { return p.first; };
     auto takeSecond = [](const std::pair<A, B>& p) { return p.second; };
 
+    using Joint = std::pair<A, B>;
     Uncertain<A> first(
-        std::make_shared<
-            core::UnaryNode<A, std::pair<A, B>, decltype(takeFirst)>>(
-            joint, takeFirst, "first"));
+        std::make_shared<core::ApplyNode<A, decltype(takeFirst), Joint>>(
+            takeFirst, "first", joint));
     Uncertain<B> second(
-        std::make_shared<
-            core::UnaryNode<B, std::pair<A, B>, decltype(takeSecond)>>(
-            joint, takeSecond, "second"));
+        std::make_shared<core::ApplyNode<B, decltype(takeSecond), Joint>>(
+            takeSecond, "second", joint));
     return {std::move(first), std::move(second)};
 }
 

@@ -38,11 +38,13 @@
 #define UNCERTAIN_EXACT_ENUMERATION_HPP
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <typeindex>
 #include <utility>
 #include <vector>
@@ -222,55 +224,22 @@ class ExactBuilder
         return intern(node, std::move(entry));
     }
 
-    /** Lower R = op(A) over an operand entry. */
-    template <typename R, typename A, typename F>
+    /** Lower R = op(As...) over operand entries, one per argument. */
+    template <typename R, typename... As, typename F>
     std::size_t
-    addUnary(const void* node, std::size_t operand, const F& op)
+    addApply(const void* node,
+             const std::array<std::size_t, sizeof...(As)>& operands,
+             const F& op)
     {
-        const auto& ta = table<A>(operand);
-        const std::size_t ops[] = {operand};
-        return emit<R>(node, ops, 1,
-                       [&](const std::size_t* idx) -> R {
-                           return static_cast<R>(
-                               op(static_cast<A>(ta[idx[0]])));
-                       });
-    }
-
-    /** Lower R = op(A, B) over two operand entries. */
-    template <typename R, typename A, typename B, typename F>
-    std::size_t
-    addBinary(const void* node, std::size_t lhs, std::size_t rhs,
-              const F& op)
-    {
-        const auto& ta = table<A>(lhs);
-        const auto& tb = table<B>(rhs);
-        const std::size_t ops[] = {lhs, rhs};
-        return emit<R>(node, ops, 2,
-                       [&](const std::size_t* idx) -> R {
-                           return static_cast<R>(
-                               op(static_cast<A>(ta[idx[0]]),
-                                  static_cast<B>(tb[idx[1]])));
-                       });
-    }
-
-    /** Lower R = op(A, B, C) over three operand entries. */
-    template <typename R, typename A, typename B, typename C,
-              typename F>
-    std::size_t
-    addTernary(const void* node, std::size_t first, std::size_t second,
-               std::size_t third, const F& op)
-    {
-        const auto& ta = table<A>(first);
-        const auto& tb = table<B>(second);
-        const auto& tc = table<C>(third);
-        const std::size_t ops[] = {first, second, third};
-        return emit<R>(node, ops, 3,
-                       [&](const std::size_t* idx) -> R {
-                           return static_cast<R>(
-                               op(static_cast<A>(ta[idx[0]]),
-                                  static_cast<B>(tb[idx[1]]),
-                                  static_cast<C>(tc[idx[2]])));
-                       });
+        return [&]<std::size_t... I>(std::index_sequence<I...>) {
+            const std::tuple<const std::vector<As>&...> tables{
+                table<As>(operands[I])...};
+            return emit<R>(node, operands,
+                           [&](const std::size_t* idx) -> R {
+                               return static_cast<R>(op(static_cast<As>(
+                                   std::get<I>(tables)[idx[I]])...));
+                           });
+        }(std::index_sequence_for<As...>{});
     }
 
     /** Number of distinct stochastic leaves lowered so far. */
@@ -551,20 +520,17 @@ class ExactBuilder
      * Build an inner-node entry: union the operand leaf sets, bound
      * the joint state count, and fill the table by evaluating
      * @p compute (which reads the operand tables at the incrementally
-     * maintained indices) at every joint assignment. Fan-in is at
-     * most 3 (ternary nodes).
+     * maintained indices) at every joint assignment.
      */
-    template <typename R, typename Compute>
+    template <typename R, std::size_t N, typename Compute>
     std::size_t
-    emit(const void* node, const std::size_t* operandEntries,
-         std::size_t numOps, Compute&& compute)
+    emit(const void* node, const std::array<std::size_t, N>& operandEntries,
+         Compute&& compute)
     {
-        UNCERTAIN_ASSERT(numOps >= 1 && numOps <= 3,
-                         "emit supports fan-in 1..3");
-        const Entry* operands[3] = {nullptr, nullptr, nullptr};
+        std::array<const Entry*, N> operands{};
         auto& leaves = scratch_.unionAcc;
         leaves.clear();
-        for (std::size_t i = 0; i < numOps; ++i) {
+        for (std::size_t i = 0; i < N; ++i) {
             const Entry& e = entries_[operandEntries[i]];
             mergeLeaves(leaves, e.leaves);
             operands[i] = &e;
@@ -572,7 +538,7 @@ class ExactBuilder
         const std::size_t states = checkStates(leaves);
 
         auto table = std::make_shared<std::vector<R>>(states);
-        forEachJoint(leaves, operands, numOps,
+        forEachJoint(leaves, operands.data(), N,
                      [&](std::size_t joint, const std::size_t* idx,
                          const std::size_t*) {
                          (*table)[joint] = compute(idx);

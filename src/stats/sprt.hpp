@@ -38,7 +38,8 @@ struct SprtOptions
     double alpha = 0.05;
     /** Bound on false negatives (power = 1 - beta). */
     double beta = 0.05;
-    /** Samples drawn per batch ("step size k", paper uses k = 10). */
+    /** Samples drawn per batch ("step size k", paper uses k = 10);
+     *  must be >= 1. */
     std::size_t batchSize = 10;
     /**
      * Artificial cap that guarantees termination (the SPRT alone is

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -22,6 +23,15 @@ struct StrategyCase
     std::string label;
     ConditionalStrategy strategy;
 };
+
+// gtest_discover_tests puts the printed parameter into each ctest
+// name. Without this, gtest dumps the raw bytes of the std::string,
+// whose first word is a heap address.
+void
+PrintTo(const StrategyCase& c, std::ostream* os)
+{
+    *os << c.label;
+}
 
 using Param = std::tuple<StrategyCase, double>; // strategy, threshold
 
