@@ -113,36 +113,63 @@ randomFiniteGraph(std::uint64_t seed,
         return pool[pickIndex(0, pool.size() - 1)];
     };
 
+    // Every pick is bound to a named local before it is used: C++
+    // leaves the evaluation order of call arguments and of operands
+    // of overloaded operators unspecified, and the graph a seed
+    // produces must not depend on the compiler. The locals are drawn
+    // in the right-to-left order GCC used for the unsequenced form
+    // (for select(l < r, x, y): y, x, r, l), so the historical seeds
+    // still produce the same graphs.
     for (std::size_t i = 0; i < options.ops; ++i) {
         switch (pickIndex(0, 6)) {
-          case 0:
-            pool.push_back(pick() + pick());
+          case 0: {
+            auto b = pick();
+            auto a = pick();
+            pool.push_back(a + b);
             break;
-          case 1:
-            pool.push_back(pick() - pick());
+          }
+          case 1: {
+            auto b = pick();
+            auto a = pick();
+            pool.push_back(a - b);
             break;
-          case 2:
+          }
+          case 2: {
             // Clamp products so repeated multiplication cannot leave
             // the exactly-representable integer range (values stay
             // <= 1e12 < 2^53 even before the clamp re-bounds them).
-            pool.push_back(
-                uncertain::clamp(pick() * pick(), -1.0e6, 1.0e6));
+            auto b = pick();
+            auto a = pick();
+            pool.push_back(uncertain::clamp(a * b, -1.0e6, 1.0e6));
             break;
-          case 3:
-            pool.push_back(uncertain::min(pick(), pick()));
+          }
+          case 3: {
+            auto b = pick();
+            auto a = pick();
+            pool.push_back(uncertain::min(a, b));
             break;
-          case 4:
-            pool.push_back(uncertain::max(pick(), pick()));
+          }
+          case 4: {
+            auto b = pick();
+            auto a = pick();
+            pool.push_back(uncertain::max(a, b));
             break;
-          case 5:
-            pool.push_back(
-                uncertain::select(pick() < pick(), pick(), pick()));
+          }
+          case 5: {
+            auto y = pick();
+            auto x = pick();
+            auto r = pick();
+            auto l = pick();
+            pool.push_back(uncertain::select(l < r, x, y));
             break;
-          case 6:
+          }
+          case 6: {
             // Point-mass mixing exercises constant folding.
-            pool.push_back(pick()
-                           + static_cast<double>(pickIndex(0, 3)));
+            const double shift = static_cast<double>(pickIndex(0, 3));
+            auto a = pick();
+            pool.push_back(a + shift);
             break;
+          }
         }
     }
 
