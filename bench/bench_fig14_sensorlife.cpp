@@ -45,7 +45,6 @@ sweep(double sigma, const std::string& variantName,
       std::size_t runs, Rng& rng, core::BatchSampler* batch)
 {
     core::ConditionalOptions options;
-    options.sprt.batchSize = 8;
     options.sprt.maxSamples = 160;
 
     stats::OnlineSummary errors;

@@ -39,7 +39,6 @@ main(int argc, char** argv)
     std::printf("Initial board:\n%s\n", initial.render().c_str());
 
     core::ConditionalOptions options;
-    options.sprt.batchSize = 8;
     options.sprt.maxSamples = 160;
 
     NaiveLife naive(sigma);

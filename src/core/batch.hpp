@@ -250,6 +250,14 @@ class BatchSampler
           scheduler_(std::move(scheduler))
     {}
 
+    /**
+     * Width of the SPRT's evidence chunks: part of the stream
+     * schedule, so the same for every helper count. Wide enough for
+     * the columnar kernels to amortize over; the decision is that of
+     * a test fed one observation at a time either way.
+     */
+    static constexpr std::size_t kEvidenceChunk = 256;
+
     std::size_t blockSize() const { return blockSize_; }
 
     /** The optimizer configuration plans are compiled with. */
@@ -307,9 +315,7 @@ class BatchSampler
      * Conditional evaluation with batched evidence columns: each
      * chunk of Bernoulli observations is filled by the columnar
      * kernels, then the sequential test consumes it in index order
-     * (core/conditional.hpp). Chunks are widened past the SPRT batch
-     * so the column machinery has something to amortize over; the
-     * decision still matches a serial test fed the same sequence.
+     * (core/conditional.hpp).
      */
     ConditionalResult
     evaluateCondition(const NodePtr<bool>& node, double threshold,
@@ -447,24 +453,22 @@ class BatchSampler
     /**
      * evaluateCondition against an already-resolved plan: one cache
      * lookup for the whole sequential test instead of one per
-     * evidence chunk. Evidence comes in chunks of
-     * max(sprt.batchSize, 256) draws, part of the stream schedule
-     * like blockSize; a chunk wider than blockSize spreads over the
-     * scheduler's helpers like any other multi-block fill.
+     * evidence chunk. The SPRT draws its evidence in chunks of
+     * kEvidenceChunk, part of the stream schedule like blockSize; a
+     * chunk wider than blockSize spreads over the scheduler's helpers
+     * like any other multi-block fill.
      */
     ConditionalResult
     evaluateConditionPlan(const std::shared_ptr<const BatchPlan>& plan,
                           double threshold,
                           const ConditionalOptions& options, Rng& rng)
     {
-        const std::size_t chunk = std::max<std::size_t>(
-            options.sprt.batchSize, std::size_t{256});
-        auto result = evaluateConditionChunked(
+        auto result = core::evaluateCondition(
             [&](std::size_t offset, std::size_t count,
                 std::uint8_t* out) {
                 fillEvidencePlan(plan, rng, offset, count, out);
             },
-            threshold, options, chunk);
+            threshold, options, kEvidenceChunk);
         rng.advance();
         return result;
     }

@@ -331,16 +331,19 @@ class Uncertain
         if (auto closed = core::detail::tryExactConditional(
                 node_, threshold, options))
             return *closed;
+        // Chunks of one draw: the test sees each observation as it
+        // is drawn, so the walk never draws past the decision.
         core::SampleContext ctx(rng);
-        bool first = true;
         return core::evaluateCondition(
-            [&]() {
-                if (!first)
-                    ctx.newEpoch();
-                first = false;
-                return node_->sample(ctx);
+            [&](std::size_t offset, std::size_t count,
+                std::uint8_t* out) {
+                for (std::size_t i = 0; i < count; ++i) {
+                    if (offset + i > 0)
+                        ctx.newEpoch();
+                    out[i] = node_->sample(ctx) ? 1 : 0;
+                }
             },
-            threshold, options);
+            threshold, options, 1);
     }
 
     /**

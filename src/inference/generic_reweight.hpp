@@ -2,49 +2,29 @@
  * @file
  * Sampling-importance-resampling over arbitrary base types.
  *
- * inference/reweight.hpp handles Uncertain<double>; this header
- * generalizes the same Bayes operator to any T (locations, vectors,
- * user types): draw a proposal pool from the source variable, weight
- * each draw with a caller-supplied log-weight, resample
- * proportionally, and return a new leaf over the resampled pool.
- * This is what location priors such as road snapping (paper
- * section 3.5, Figure 10) need, where the target variable is a
- * GeoCoordinate rather than a scalar.
+ * inference/reweight.hpp runs the Bayes operator for
+ * Uncertain<double>; reweightSamples is the same operator, through
+ * the same core, for any T (locations, vectors, user types): draw a
+ * proposal pool from the source variable, weight each draw with a
+ * caller-supplied log-weight, resample proportionally, and return a
+ * new leaf over the resampled pool. This is what location priors
+ * such as road snapping (paper section 3.5, Figure 10) need, where
+ * the target variable is a GeoCoordinate rather than a scalar.
  */
 
 #ifndef UNCERTAIN_INFERENCE_GENERIC_REWEIGHT_HPP
 #define UNCERTAIN_INFERENCE_GENERIC_REWEIGHT_HPP
 
-#include <cmath>
-#include <limits>
-#include <memory>
-#include <numeric>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
 #include "core/uncertain.hpp"
-#include "inference/resample.hpp"
-#include "inference/reweight.hpp" // ReweightOptions
-#include "random/discrete.hpp"
-#include "support/error.hpp"
+#include "inference/reweight.hpp"
 #include "support/rng.hpp"
 
 namespace uncertain {
 namespace inference {
-
-/** Typed analogue of ReweightResult. */
-template <typename T>
-struct GenericReweightResult
-{
-    Uncertain<T> posterior;
-    /**
-     * Kish effective sample size of the PRE-resampling importance
-     * weights (see ReweightResult::effectiveSampleSize).
-     */
-    double effectiveSampleSize;
-    /** True when ReweightOptions::essWarnFraction tripped. */
-    bool lowEss = false;
-};
 
 /**
  * Resample draws of @p source in proportion to
@@ -55,54 +35,14 @@ GenericReweightResult<T>
 reweightSamples(const Uncertain<T>& source, LogWeight&& logWeight,
                 const ReweightOptions& options, Rng& rng)
 {
-    UNCERTAIN_REQUIRE(options.proposalSamples >= 2,
-                      "reweightSamples requires >= 2 proposals");
-    UNCERTAIN_REQUIRE(options.resampleSize >= 1,
-                      "reweightSamples requires >= 1 resample");
-
-    // Columnar proposal pool when a batch sampler is plumbed through
-    // the options; per-sample tree walk otherwise (same law, see
-    // ReweightOptions::sampler).
-    std::vector<T> proposals =
-        options.sampler != nullptr
-            ? source.takeSamples(options.proposalSamples, rng,
-                                 *options.sampler)
-            : source.takeSamples(options.proposalSamples, rng);
-
-    std::vector<double> logWeights(proposals.size());
-    for (std::size_t i = 0; i < proposals.size(); ++i)
-        logWeights[i] = logWeight(proposals[i]);
-
-    std::vector<double> weights;
-    detail::WeightSummary summary = detail::normalizeLogWeights(
-        logWeights, weights,
-        "reweightSamples: all importance weights are "
-        "zero; prior and estimate do not overlap");
-    const bool lowEss = detail::warnLowEss(summary.ess, options);
-
-    auto pool = std::make_shared<std::vector<T>>();
-    pool->reserve(options.resampleSize);
-    if (options.scheme == ResamplingScheme::Systematic) {
-        for (std::size_t index : detail::systematicIndices(
-                 weights, summary.total, options.resampleSize, rng))
-            pool->push_back(proposals[index]);
-    } else {
-        std::vector<double> indices(proposals.size());
-        for (std::size_t i = 0; i < proposals.size(); ++i)
-            indices[i] = static_cast<double>(i);
-        random::Discrete table(std::move(indices), weights);
-        for (std::size_t i = 0; i < options.resampleSize; ++i) {
-            pool->push_back(
-                proposals[static_cast<std::size_t>(
-                    table.sample(rng))]);
-        }
-    }
-
-    auto posterior = core::fromPool<T>(
-        std::move(pool), "posterior("
-                             + std::to_string(options.resampleSize)
-                             + " resamples)");
-    return {std::move(posterior), summary.ess, lowEss};
+    return detail::sampleImportanceResample(
+        source,
+        [&logWeight](const std::vector<T>& proposals,
+                     double* logWeights) {
+            for (std::size_t i = 0; i < proposals.size(); ++i)
+                logWeights[i] = logWeight(proposals[i]);
+        },
+        options, rng);
 }
 
 /** reweightSamples() with the thread's global generator. */

@@ -1,10 +1,11 @@
 /**
  * @file
- * Shared resampling kernel for sampling-importance-resampling
- * (inference/reweight.hpp and inference/generic_reweight.hpp): weight
- * normalization with the Kish effective-sample-size diagnostic, and
- * the low-variance systematic resampler offered alongside the classic
- * multinomial scheme.
+ * Resampling kernels for sampling-importance-resampling
+ * (inference/reweight.hpp): weight normalization with the Kish
+ * effective-sample-size diagnostic, and the two resamplers, classic
+ * multinomial and low-variance systematic. Each resampler returns
+ * proposal indices, so the SIR core fills its pool the same way for
+ * either scheme and any base type.
  *
  * Multinomial resampling draws each posterior pool entry
  * independently from the alias table, so the number of copies of
@@ -25,6 +26,7 @@
 #include <limits>
 #include <vector>
 
+#include "random/discrete.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -61,17 +63,25 @@ struct WeightSummary
  * Exponentiate @p logWeights shifted by their maximum (log-space
  * normalization for stability) into @p weights, and compute the Kish
  * effective sample size (sum w)^2 / sum w^2 in the same pass. Throws
- * uncertain::Error with @p noOverlapMessage when every weight is zero
- * (no finite log-weight).
+ * uncertain::Error naming the fault when a log-weight is NaN or
+ * +infinity (a broken weight model, not a weight), and with
+ * @p noOverlapMessage when every weight is zero (every log-weight is
+ * -infinity).
  */
 inline WeightSummary
 normalizeLogWeights(const std::vector<double>& logWeights,
                     std::vector<double>& weights,
                     const char* noOverlapMessage)
 {
-    double maxLog = -std::numeric_limits<double>::infinity();
-    for (double logW : logWeights)
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double maxLog = -kInf;
+    for (double logW : logWeights) {
+        UNCERTAIN_REQUIRE(!std::isnan(logW),
+                          "importance log-weight is NaN");
+        UNCERTAIN_REQUIRE(logW != kInf,
+                          "importance log-weight is +infinity");
         maxLog = std::max(maxLog, logW);
+    }
     UNCERTAIN_REQUIRE(std::isfinite(maxLog), noOverlapMessage);
 
     weights.resize(logWeights.size());
@@ -83,6 +93,25 @@ normalizeLogWeights(const std::vector<double>& logWeights,
         totalSq += weights[i] * weights[i];
     }
     return {total, total * total / totalSq};
+}
+
+/**
+ * Multinomial resampling: proposal indices for a pool of
+ * @p resampleSize entries, each drawn independently from the alias
+ * table of @p weights with random::Discrete::sampleIndex. The table
+ * depends on the weights alone, so the indices are those a Discrete
+ * over the proposal values would pick, from the same stream.
+ */
+inline std::vector<std::size_t>
+multinomialIndices(const std::vector<double>& weights,
+                   std::size_t resampleSize, Rng& rng)
+{
+    const random::Discrete table(std::vector<double>(weights.size()),
+                                 weights);
+    std::vector<std::size_t> indices(resampleSize);
+    for (std::size_t& index : indices)
+        index = table.sampleIndex(rng);
+    return indices;
 }
 
 /**

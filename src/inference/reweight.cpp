@@ -1,92 +1,18 @@
 #include "inference/reweight.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "inference/resample.hpp"
-#include "random/discrete.hpp"
-#include "support/error.hpp"
+#include "inference/generic_reweight.hpp"
 
 namespace uncertain {
 namespace inference {
-
-namespace {
-
-/**
- * The SIR pipeline shared by the scalar and vectorized entry points:
- * proposal pool (tree walk or columnar batch plan, per
- * options.sampler), one contiguous log-weight pass, one
- * normalization/ESS pass, resampling per options.scheme, and a
- * pool-backed posterior leaf that carries a bulk sampler so
- * downstream graphs stay columnar.
- */
-ReweightResult
-reweightImpl(const Uncertain<double>& source,
-             const BulkLogWeight& logWeightMany,
-             const ReweightOptions& options, Rng& rng)
-{
-    UNCERTAIN_REQUIRE(options.proposalSamples >= 2,
-                      "reweight requires >= 2 proposal samples");
-    UNCERTAIN_REQUIRE(options.resampleSize >= 1,
-                      "reweight requires >= 1 resample");
-
-    std::vector<double> proposals =
-        options.sampler != nullptr
-            ? source.takeSamples(options.proposalSamples, rng,
-                                 *options.sampler)
-            : source.takeSamples(options.proposalSamples, rng);
-
-    std::vector<double> logWeights(proposals.size());
-    logWeightMany(proposals.data(), logWeights.data(),
-                  proposals.size());
-
-    // Normalize in log space for stability.
-    std::vector<double> weights;
-    detail::WeightSummary summary = detail::normalizeLogWeights(
-        logWeights, weights,
-        "reweight: all importance weights are zero; the "
-        "prior and the estimate do not overlap");
-    const bool lowEss = detail::warnLowEss(summary.ess, options);
-
-    auto pool = std::make_shared<std::vector<double>>();
-    pool->reserve(options.resampleSize);
-    if (options.scheme == ResamplingScheme::Systematic) {
-        for (std::size_t index : detail::systematicIndices(
-                 weights, summary.total, options.resampleSize, rng))
-            pool->push_back(proposals[index]);
-    } else {
-        // Multinomial resampling via the alias table.
-        random::Discrete table(proposals, weights);
-        for (std::size_t i = 0; i < options.resampleSize; ++i)
-            pool->push_back(table.sample(rng));
-    }
-
-    auto posterior = core::fromPool<double>(
-        std::move(pool), "posterior("
-                             + std::to_string(options.resampleSize)
-                             + " resamples)");
-    return {std::move(posterior), summary.ess, lowEss};
-}
-
-} // namespace
 
 ReweightResult
 reweight(const Uncertain<double>& source,
          const std::function<double(double)>& logWeight,
          const ReweightOptions& options, Rng& rng)
 {
-    return reweightImpl(
-        source,
-        [&logWeight](const double* values, double* logWeights,
-                     std::size_t n) {
-            for (std::size_t i = 0; i < n; ++i)
-                logWeights[i] = logWeight(values[i]);
-        },
-        options, rng);
+    return reweightSamples(source, logWeight, options, rng);
 }
 
 ReweightResult
@@ -102,7 +28,14 @@ reweightBulk(const Uncertain<double>& source,
              const BulkLogWeight& logWeightMany,
              const ReweightOptions& options, Rng& rng)
 {
-    return reweightImpl(source, logWeightMany, options, rng);
+    return detail::sampleImportanceResample(
+        source,
+        [&logWeightMany](const std::vector<double>& proposals,
+                         double* logWeights) {
+            logWeightMany(proposals.data(), logWeights,
+                          proposals.size());
+        },
+        options, rng);
 }
 
 Uncertain<double>

@@ -7,8 +7,10 @@
  * Bayes operator of Park et al. that the paper points to: draw a
  * proposal pool from one distribution, weight each draw by the other
  * distribution's density, and resample proportionally. The result is
- * a new Uncertain<double> whose sampling function draws from the
- * reweighted pool.
+ * a new leaf whose sampling function draws from the reweighted pool.
+ * One template core, detail::sampleImportanceResample, runs that
+ * pipeline for every entry point and every base type (reweightSamples
+ * in inference/generic_reweight.hpp is its typed front end).
  *
  * Two directions are provided:
  *  - applyPrior(estimate, prior): samples come from the estimation
@@ -25,11 +27,16 @@
 
 #include <cstdio>
 #include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/uncertain.hpp"
 #include "inference/likelihood.hpp"
 #include "inference/resample.hpp"
 #include "random/distribution.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace uncertain {
@@ -75,11 +82,12 @@ struct ReweightOptions
     std::function<void(double, std::size_t)> onLowEss;
 };
 
-/** A reweighted distribution plus diagnostics. */
-struct ReweightResult
+/** A reweighted distribution of base type T plus diagnostics. */
+template <typename T>
+struct GenericReweightResult
 {
     /** Posterior as a new leaf (resampled-pool sampling function). */
-    Uncertain<double> posterior;
+    Uncertain<T> posterior;
     /**
      * Kish effective sample size (sum w)^2 / (sum w^2) of the
      * importance weights, computed on the PRE-resampling proposal
@@ -95,9 +103,12 @@ struct ReweightResult
     bool lowEss = false;
 };
 
+/** The result of the Uncertain<double> entry points. */
+using ReweightResult = GenericReweightResult<double>;
+
 namespace detail {
 
-/** Shared low-ESS surfacing for reweight()/reweightSamples(). */
+/** Low-ESS surfacing for sampleImportanceResample(). */
 inline bool
 warnLowEss(double ess, const ReweightOptions& options)
 {
@@ -119,6 +130,61 @@ warnLowEss(double ess, const ReweightOptions& options)
                      ess, options.proposalSamples, threshold);
     }
     return true;
+}
+
+/**
+ * The SIR pipeline behind every entry point: a proposal pool of
+ * @p source (tree walk, or the columnar plans of options.sampler),
+ * one log-weight pass @p logWeightMany
+ * `void(const std::vector<T>& proposals, double* logWeights)`, one
+ * normalization/ESS pass, resampling per options.scheme, and a
+ * pool-backed posterior leaf that carries a bulk sampler so
+ * downstream graphs stay columnar. Throws uncertain::Error when every
+ * weight is zero (no overlap).
+ */
+template <typename T, typename LogWeightMany>
+GenericReweightResult<T>
+sampleImportanceResample(const Uncertain<T>& source,
+                         LogWeightMany&& logWeightMany,
+                         const ReweightOptions& options, Rng& rng)
+{
+    UNCERTAIN_REQUIRE(options.proposalSamples >= 2,
+                      "reweight requires >= 2 proposal samples");
+    UNCERTAIN_REQUIRE(options.resampleSize >= 1,
+                      "reweight requires >= 1 resample");
+
+    std::vector<T> proposals =
+        options.sampler != nullptr
+            ? source.takeSamples(options.proposalSamples, rng,
+                                 *options.sampler)
+            : source.takeSamples(options.proposalSamples, rng);
+
+    std::vector<double> logWeights(proposals.size());
+    logWeightMany(proposals, logWeights.data());
+
+    // Normalize in log space for stability.
+    std::vector<double> weights;
+    const WeightSummary summary = normalizeLogWeights(
+        logWeights, weights,
+        "reweight: all importance weights are zero; the "
+        "prior and the estimate do not overlap");
+    const bool lowEss = warnLowEss(summary.ess, options);
+
+    const std::vector<std::size_t> indices =
+        options.scheme == ResamplingScheme::Systematic
+            ? systematicIndices(weights, summary.total,
+                                options.resampleSize, rng)
+            : multinomialIndices(weights, options.resampleSize, rng);
+    auto pool = std::make_shared<std::vector<T>>();
+    pool->reserve(indices.size());
+    for (std::size_t index : indices)
+        pool->push_back(proposals[index]);
+
+    auto posterior = core::fromPool<T>(
+        std::move(pool), "posterior("
+                             + std::to_string(options.resampleSize)
+                             + " resamples)");
+    return {std::move(posterior), summary.ess, lowEss};
 }
 
 } // namespace detail

@@ -21,8 +21,6 @@ Sprt::Sprt(double threshold, const SprtOptions& options)
                       "SPRT beta must be in (0, 1)");
     UNCERTAIN_REQUIRE(options.maxSamples >= 1,
                       "SPRT maxSamples must be >= 1");
-    UNCERTAIN_REQUIRE(options.batchSize >= 1,
-                      "SPRT batchSize must be >= 1");
 
     // Clamp the simple hypotheses into (0, 1) so thresholds near the
     // edges remain testable.

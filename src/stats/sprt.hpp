@@ -2,9 +2,12 @@
  * @file
  * Wald's sequential probability ratio test (SPRT) for a Bernoulli
  * parameter. This is the paper's mechanism for executing conditionals
- * on uncertain data (section 4.3): sample batches of evidence until
+ * on uncertain data (section 4.3): sample evidence until
  * Pr[condition] is significantly above or below the threshold, capping
- * the sample count to guarantee termination.
+ * the sample count to guarantee termination. The paper's runtime
+ * draws in steps of k = 10; here the boundaries are checked after
+ * every observation (core::evaluateCondition feeds them in index
+ * order), which stops at the first draw that can decide.
  */
 
 #ifndef UNCERTAIN_STATS_SPRT_HPP
@@ -38,9 +41,6 @@ struct SprtOptions
     double alpha = 0.05;
     /** Bound on false negatives (power = 1 - beta). */
     double beta = 0.05;
-    /** Samples drawn per batch ("step size k", paper uses k = 10);
-     *  must be >= 1. */
-    std::size_t batchSize = 10;
     /**
      * Artificial cap that guarantees termination (the SPRT alone is
      * potentially unbounded). Hitting the cap yields Inconclusive.

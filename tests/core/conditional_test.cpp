@@ -140,21 +140,8 @@ TEST(Conditional, RejectsDegenerateThresholds)
     EXPECT_THROW((a > 0.0).pr(1.0, options, rng), Error);
 }
 
-// An SPRT batch of zero draws never consults the boundaries (the tree
-// walk used to spin forever), and a fixed sample of zero draws divides
-// 0 by 0 into a NaN estimate that decided AcceptNull. Both are refused
-// on both engines.
-TEST(Conditional, RejectsZeroSprtBatchSize)
-{
-    Rng rng = testing::testRng(141);
-    auto event = gaussianLeaf(0.0, 1.0) > 0.0;
-    core::ConditionalOptions options;
-    options.sprt.batchSize = 0;
-    EXPECT_THROW(event.evaluate(0.5, options, rng), Error);
-    core::BatchSampler sampler;
-    EXPECT_THROW(event.evaluate(0.5, options, rng, sampler), Error);
-}
-
+// A fixed sample of zero draws divides 0 by 0 into a NaN estimate
+// that decided AcceptNull. It is refused on both engines.
 TEST(Conditional, RejectsZeroFixedSamples)
 {
     Rng rng = testing::testRng(142);

@@ -342,8 +342,7 @@ TEST(ParallelEquivalence, ChunkedSprtSampleSizeStaysWithinAChunk)
     auto cond = gaussianLeaf(4.5, 1.0) > 4.0;
     ConditionalOptions options;
     BatchSampler sampler = threadedSampler(4, 64);
-    const std::size_t chunk = std::max<std::size_t>(
-        options.sprt.batchSize, 256);
+    const std::size_t chunk = BatchSampler::kEvidenceChunk;
     for (int trial = 0; trial < 10; ++trial) {
         Rng rng =
             testing::testRng(950 + static_cast<std::uint64_t>(trial));

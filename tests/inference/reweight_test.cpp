@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "core/core.hpp"
 #include "inference/conjugate.hpp"
+#include "inference/generic_reweight.hpp"
 #include "inference/reweight.hpp"
 #include "random/gaussian.hpp"
 #include "random/uniform.hpp"
@@ -208,6 +211,52 @@ TEST(Reweight, ValidatesOptions)
     EXPECT_THROW(
         reweight(estimate, [](double) { return 0.0; }, options, rng),
         Error);
+}
+
+/** The message of the uncertain::Error @p call throws ("" if none). */
+template <typename Call>
+std::string
+errorMessage(Call&& call)
+{
+    try {
+        call();
+    } catch (const Error& error) {
+        return error.what();
+    }
+    return "";
+}
+
+// A NaN or +infinity log-weight is a broken weight model, not a
+// weight: under either scheme and on the typed path the refusal names
+// it, rather than blaming the resampler or reporting "no overlap".
+TEST(Reweight, RefusesNaNAndInfiniteLogWeightsByName)
+{
+    const double kNaN = std::numeric_limits<double>::quiet_NaN();
+    const double kInf = std::numeric_limits<double>::infinity();
+    auto estimate = gaussianLeaf(0.0, 1.0);
+    for (auto scheme :
+         {ResamplingScheme::Multinomial, ResamplingScheme::Systematic}) {
+        ReweightOptions options;
+        options.proposalSamples = 500;
+        options.scheme = scheme;
+        for (double bad : {kNaN, kInf}) {
+            const std::string name = std::isnan(bad) ? "NaN"
+                                                     : "+infinity";
+            auto logWeight = [bad](double x) {
+                return x > 1.5 ? bad : 0.0;
+            };
+            Rng rng = testing::testRng(158);
+            const std::string scalar = errorMessage(
+                [&] { reweight(estimate, logWeight, options, rng); });
+            EXPECT_NE(scalar.find(name), std::string::npos)
+                << name << ": " << scalar;
+            const std::string typed = errorMessage([&] {
+                reweightSamples(estimate, logWeight, options, rng);
+            });
+            EXPECT_NE(typed.find(name), std::string::npos)
+                << name << ": " << typed;
+        }
+    }
 }
 
 TEST(Likelihood, GaussianLikelihoodPeaksAtTheObservation)

@@ -23,7 +23,6 @@ namespace {
 TEST(SensorLifeIntegration, SensorErrorsGrowWithNoiseLevel)
 {
     core::ConditionalOptions options;
-    options.sprt.batchSize = 8;
     options.sprt.maxSamples = 120;
 
     Rng rng = testing::testRng(281);

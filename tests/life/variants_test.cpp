@@ -18,7 +18,6 @@ core::ConditionalOptions
 lifeOptions()
 {
     core::ConditionalOptions options;
-    options.sprt.batchSize = 8;
     options.sprt.maxSamples = 160;
     return options;
 }
