@@ -9,8 +9,6 @@
  * selects the engine that draws the histogram's samples (through the
  * Uncertain<double> surface) and, for batch, appends a tree-vs-batch
  * throughput table on the same shared-leaf graph.
- * --backend {auto,simd,scalar} pins the execution backend for the
- * batch plans and the bulk RNG/ziggurat layers.
  */
 
 #include <cmath>
@@ -123,7 +121,6 @@ main(int argc, char** argv)
     bool paper = bench::hasFlag(argc, argv, "--paper");
     const unsigned threads = bench::threadsFlag(argc, argv);
     const std::string engine = bench::engineFlag(argc, argv);
-    bench::applyBackend(bench::backendFlag(argc, argv));
     const std::size_t n = paper ? 1000000 : 100000;
 
     random::Gaussian dist(0.0, 1.0);

@@ -2,6 +2,11 @@
  * @file
  * Figure 6: computation compounds uncertainty. The distribution of
  * c = a + b is wider than either operand's.
+ *
+ * --backend {auto,simd,scalar} selects the batch plans' strip
+ * backend. Under --engine batch --backend auto on a host where the
+ * plan-level JIT is available, the run also reports compile-time
+ * amortization of the figure's graph against the SIMD strips.
  */
 
 #include <cstddef>
@@ -12,6 +17,7 @@
 #include "bench_util.hpp"
 #include "core/core.hpp"
 #include "core/inspect.hpp"
+#include "core/jit/jit_compiler.hpp"
 #include "random/gaussian.hpp"
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
@@ -46,8 +52,8 @@ main(int argc, char** argv)
     bool paper = bench::hasFlag(argc, argv, "--paper");
     bool verbose = bench::hasFlag(argc, argv, "--verbose");
     std::string engine = bench::engineFlag(argc, argv);
-    const std::string backendName = bench::backendFlag(argc, argv);
-    const simd::ExecBackend backend = bench::applyBackend(backendName);
+    const simd::ExecBackend backend =
+        bench::applyBackend(bench::backendFlag(argc, argv));
     const std::size_t n = paper ? 400000 : 60000;
 
     Rng rng(6);
@@ -76,7 +82,8 @@ main(int argc, char** argv)
                 .c_str());
     }
 
-    if (batch && backendName == "jit") {
+    if (batch && backend == simd::ExecBackend::Auto
+        && jit::available()) {
         // Compile-time amortization for the figure's own graph: the
         // first block pays plan build (plus fragment compilation when
         // the run is long enough to fuse), later blocks run from the
@@ -113,7 +120,7 @@ main(int argc, char** argv)
         double simdFirst = 0.0, simdSteady = 0.0;
         std::uint64_t compileNs = 0, simdCompileNs = 0;
         std::size_t fragments = 0, simdFragments = 0;
-        measure(simd::ExecBackend::Jit, &jitFirst, &jitSteady,
+        measure(simd::ExecBackend::Auto, &jitFirst, &jitSteady,
                 &compileNs, &fragments);
         measure(simd::ExecBackend::Simd, &simdFirst, &simdSteady,
                 &simdCompileNs, &simdFragments);

@@ -13,7 +13,7 @@
  *   --engine {tree,batch}            per-sample walk vs columnar plans
  *   --scheme {multinomial,systematic} SIR resampling scheme
  *   --backend {auto,simd,scalar}     execution backend for the batch
- *                                    plans and bulk RNG/ziggurat layers
+ *                                    plans' strips
  *   --json FILE                      google-benchmark-style JSON for
  *                                    scripts/bench_compare.py
  */

@@ -2,21 +2,18 @@
  * @file
  * Microbenchmarks: sampling throughput of every distribution family
  * (the cost floor under every Uncertain<T> leaf) and of the SIR
- * reweighting pipeline.
- *
- * --backend {auto,simd,scalar} pins the execution backend for the
- * bulk paths (BM_SampleManyGaussian goes through the vectorized
- * ziggurat-accept kernel under auto/simd; BM_FillDouble is the scalar
- * Rng fill on every backend).
+ * reweighting pipeline. The bulk paths run what the CPU picks:
+ * BM_SampleManyGaussian goes through the vectorized ziggurat-accept
+ * kernel on an AVX2 host (the "isa" context entry says which).
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstring>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "bench_util.hpp"
+#include "core/simd_kernels.hpp"
 #include "inference/reweight.hpp"
 #include "random/beta.hpp"
 #include "random/binomial.hpp"
@@ -173,8 +170,7 @@ BM_SampleKde(benchmark::State& state)
 BENCHMARK(BM_SampleKde);
 
 // ----------------------------------------------------------------------
-// Bulk paths: these honour --backend (the per-draw loops above are
-// scalar by construction and do not).
+// Bulk paths.
 // ----------------------------------------------------------------------
 
 void
@@ -227,42 +223,11 @@ BM_ReweightPipeline(benchmark::State& state)
 }
 BENCHMARK(BM_ReweightPipeline)->Range(256, 16384)->Complexity();
 
-/** Strip "--backend X" / "--backend=X" (google benchmark rejects
- *  unknown flags) and record the choice. */
-std::string
-parseBackendFlag(int* argc, char** argv)
-{
-    std::string backend = "auto";
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < *argc) {
-            backend = argv[++i];
-        } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-            backend = argv[i] + 10;
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    *argc = out;
-    return backend;
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    const std::string backend = parseBackendFlag(&argc, argv);
-    if (backend != "auto" && backend != "simd"
-        && backend != "scalar") {
-        std::fprintf(
-            stderr,
-            "unknown --backend '%s' (expected auto, simd or scalar)\n",
-            backend.c_str());
-        return 2;
-    }
-    bench::applyBackend(backend);
-    benchmark::AddCustomContext("backend", backend);
     benchmark::AddCustomContext(
         "isa", simd::isaName(simd::activeIsa()));
     benchmark::Initialize(&argc, argv);

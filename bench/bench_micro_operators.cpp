@@ -19,15 +19,15 @@
  * JSONs. --verbose prints the optimized-plan report for the
  * BM_TakeSamples graphs before the benchmarks run.
  *
- * --backend {auto,jit,simd,scalar} selects the execution backend for
- * the batch plans AND (via the process-wide force-scalar switch) the
- * RNG-fill/ziggurat layers: "scalar" is the honest baseline for SIMD
+ * --backend {auto,simd,scalar} selects the execution backend for
+ * the batch plans: "scalar" is the honest baseline for SIMD
  * speedups, "simd" the kernel-strip rung CI gates at >= 1.3x on the
- * depth-64 chain, "jit" the compiled-fragment rung gated at >= 1.25x
- * over simd (scripts/bench_compare.py --backend-gate). Under
- * --backend jit the harness also measures compile-time amortization —
- * first-block vs steady-state throughput and the break-even block
- * count — and records it in the benchmark context.
+ * depth-64 chain, "auto" (compiled fragments where the plan-level
+ * JIT is available) the rung gated at >= 1.25x over simd
+ * (scripts/bench_compare.py --backend-gate). Under --engine batch
+ * --backend auto the harness also measures the JIT's compile-time
+ * amortization — first-block vs steady-state throughput and the
+ * break-even block count — and records it in the benchmark context.
  */
 
 #include <benchmark/benchmark.h>
@@ -378,7 +378,7 @@ reportJitAmortization()
     double jitFirst = 0.0, jitSteady = 0.0;
     double simdFirst = 0.0, simdSteady = 0.0;
     std::uint64_t jitCompile = 0, simdCompile = 0;
-    measure(simd::ExecBackend::Jit, &jitFirst, &jitSteady,
+    measure(simd::ExecBackend::Auto, &jitFirst, &jitSteady,
             &jitCompile);
     measure(simd::ExecBackend::Simd, &simdFirst, &simdSteady,
             &simdCompile);
@@ -462,11 +462,11 @@ main(int argc, char** argv)
                      g_optimizer.c_str());
         return 2;
     }
-    if (g_backend != "auto" && g_backend != "jit"
-        && g_backend != "simd" && g_backend != "scalar") {
+    if (g_backend != "auto" && g_backend != "simd"
+        && g_backend != "scalar") {
         std::fprintf(stderr,
-                     "unknown --backend '%s' (expected auto, jit, "
-                     "simd or scalar)\n",
+                     "unknown --backend '%s' (expected auto, simd or "
+                     "scalar)\n",
                      g_backend.c_str());
         return 2;
     }
@@ -476,7 +476,7 @@ main(int argc, char** argv)
     benchmark::AddCustomContext("backend", g_backend);
     benchmark::AddCustomContext(
         "isa", simd::isaName(simd::activeIsa()));
-    if (g_backend == "jit")
+    if (useBatchEngine() && g_backendEnum == simd::ExecBackend::Auto)
         reportJitAmortization();
     if (g_verbose) {
         core::BatchSampler sampler(batchOptions());

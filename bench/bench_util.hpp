@@ -103,7 +103,7 @@ engineFlag(int argc, char** argv)
 }
 
 /**
- * The --backend {auto,jit,simd,scalar} axis shared by the harnesses:
+ * The --backend {auto,simd,scalar} axis shared by the harnesses:
  * which execution backend batch plans use for elementwise strips.
  * Exits with a usage message on any other value.
  */
@@ -111,32 +111,22 @@ inline std::string
 backendFlag(int argc, char** argv)
 {
     std::string backend = stringFlag(argc, argv, "--backend", "auto");
-    if (backend != "auto" && backend != "jit" && backend != "simd"
-        && backend != "scalar") {
+    if (backend != "auto" && backend != "simd" && backend != "scalar") {
         std::fprintf(stderr,
-                     "unknown --backend '%s' (expected auto, jit, "
-                     "simd or scalar)\n",
+                     "unknown --backend '%s' (expected auto, simd or "
+                     "scalar)\n",
                      backend.c_str());
         std::exit(2);
     }
     return backend;
 }
 
-/**
- * Map a backendFlag() value onto PlanOptions::backend, flipping the
- * process-wide force-scalar switch as a side effect: "scalar" must
- * drop the ziggurat layer (which sits below the plan and has no
- * per-plan toggle) to its scalar path together with the strips, so scalar-vs-simd comparisons measure the whole stack.
- * "simd" likewise pins the plan to the kernel strips so simd-vs-jit
- * rows compare rungs rather than both resolving to the fragments.
- */
+/** Map a backendFlag() value onto PlanOptions::backend. */
 inline simd::ExecBackend
 applyBackend(const std::string& backend)
 {
-    simd::setForceScalar(backend == "scalar");
     return backend == "scalar" ? simd::ExecBackend::Scalar
            : backend == "simd" ? simd::ExecBackend::Simd
-           : backend == "jit"  ? simd::ExecBackend::Jit
                                : simd::ExecBackend::Auto;
 }
 

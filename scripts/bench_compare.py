@@ -27,14 +27,15 @@ fraction (lower is better: a growing TV bound means a sampler drifted
 away from its law), any pass -> fail transition fails outright, and
 draw throughput (samples_per_second) is gated like any benchmark.
 
-Backend-gate mode (--backend-gate; --simd is a legacy alias):
+Backend-gate mode (--backend-gate):
 baseline and candidate are the same benchmarks run under two
-execution backends — e.g. scalar vs simd, or simd vs jit. Benchmarks
+execution backends — e.g. scalar vs simd, or simd vs auto (which
+compiles the chain to JIT fragments). Benchmarks
 matching the --gate regex (default: the depth-64 fused elementwise
 chain) must be at least --min-speedup faster under the candidate
 backend — each rung of the backend ladder has to EARN its keep on
 the strip-dominated workload, not merely avoid regressing. CI gates
-scalar -> simd at 1.3x and simd -> jit at 1.25x. All other shared
+scalar -> simd at 1.3x and simd -> auto at 1.25x. All other shared
 benchmarks use the normal tolerance check (the faster backend must
 never be slower beyond the tolerance: RNG-bound benches legitimately
 see ~1x). Certification documents still take the certificate view,
@@ -157,12 +158,8 @@ def main():
         "--backend-gate", action="store_true",
         help="backend gate mode: baseline and candidate are the same "
              "benchmarks under two execution backends (scalar vs "
-             "simd, simd vs jit, ...); benchmarks matching --gate "
+             "simd, simd vs auto, ...); benchmarks matching --gate "
              "must speed up by --min-speedup")
-    parser.add_argument(
-        "--simd", action="store_true",
-        help="legacy alias for --backend-gate (kept for old CI "
-             "configs and scripts)")
     parser.add_argument(
         "--min-speedup", type=float, default=1.3,
         help="required candidate/baseline throughput ratio on "
@@ -173,7 +170,6 @@ def main():
              "--min-speedup in --backend-gate mode (default: the "
              "depth-64 fused elementwise chain)")
     args = parser.parse_args()
-    args.backend_gate = args.backend_gate or args.simd
 
     base_doc = load_json(args.baseline)
     cand_doc = load_json(args.candidate)

@@ -161,7 +161,7 @@ class PlanCache
     struct Key
     {
         const GraphNode* root;
-        std::uint16_t options;
+        std::uint8_t options;
 
         bool
         operator==(const Key& other) const
@@ -189,30 +189,20 @@ class PlanCache
         std::list<Key>::iterator lruPos;
     };
 
-    static std::uint16_t
+    static std::uint8_t
     packOptions(const PlanOptions& options)
     {
-        // Low byte: requested configuration. Backend occupies bits
-        // 4-5 so Auto/Jit/Simd/Scalar plans for the same root cache
-        // as distinct entries (their strip lambdas differ even when
-        // the output is bit-identical).
-        const std::uint16_t requested = static_cast<std::uint16_t>(
+        // The four pass toggles, then the backend in bits 4-5, so
+        // Auto/Simd/Scalar plans for the same root cache as distinct
+        // entries (their strip lambdas differ even when the output is
+        // bit-identical). Nothing else varies: what Auto resolves
+        // against (simd::activeIsa(), jit::available()) is fixed for
+        // the life of the process.
+        return static_cast<std::uint8_t>(
             (options.cse ? 1u : 0u) | (options.constantFolding ? 2u : 0u)
             | (options.fuseElementwise ? 4u : 0u)
             | (options.reuseBuffers ? 8u : 0u)
             | (static_cast<unsigned>(options.backend) << 4));
-        // High byte: the execution environment the plan would bake in
-        // at build time. Auto/Jit resolve against simd::activeIsa()
-        // and jit::available() when the plan compiles, and the strip
-        // closures capture that resolution — so a shared cache must
-        // key on it, or a plan built under simd::setForceScalar /
-        // jit::setForceDisabled (tests, benches, kill switches) would
-        // be served after the switch flips, silently running the
-        // wrong backend.
-        const std::uint16_t env = static_cast<std::uint16_t>(
-            (static_cast<unsigned>(simd::activeIsa()) & 0x7u)
-            | (jit::available() ? 0x8u : 0u));
-        return static_cast<std::uint16_t>(requested | (env << 8));
     }
 
     mutable std::mutex mutex_;

@@ -339,7 +339,6 @@ enum class StepKind : std::uint8_t
     Leaf,        //!< stochastic source; never merged or folded
     Const,       //!< point mass; filled once per workspace
     Elementwise, //!< pure per-element map over operand columns
-    Opaque       //!< unknown semantics; disables the optimizer
 };
 
 /**
@@ -350,7 +349,7 @@ enum class StepKind : std::uint8_t
  */
 struct StepInfo
 {
-    StepKind kind = StepKind::Opaque;
+    StepKind kind = StepKind::Leaf;
     std::size_t out = kNoColumn;        //!< output logical column
     std::vector<std::size_t> operands;  //!< operand logical columns
     BatchStep run;
@@ -384,10 +383,10 @@ struct StepInfo
     /**
      * Lane-parallel variant of makeStrip, present only when the step's
      * functor has a simd::VectorForm mapping. The produced micro-op
-     * calls the vector kernel (which clamps to the running CPU and
-     * honors simd::setForceScalar), so it is safe on every machine and
-     * bit-identical to the scalar strip. The plan picks it over
-     * makeStrip when the resolved PlanOptions::backend wants SIMD.
+     * calls the vector kernel (which clamps to the running CPU), so it
+     * is safe on every machine and bit-identical to the scalar strip.
+     * The plan picks it over makeStrip when the resolved
+     * PlanOptions::backend wants SIMD.
      */
     std::function<StripOp(const std::vector<StripLoc>&, const StripLoc&)>
         makeStripSimd;
@@ -717,20 +716,6 @@ class BatchBuilder
     /** Append the step record for the most recently added column. */
     void addStep(batch::StepInfo step) { steps_.push_back(std::move(step)); }
 
-    /**
-     * Append a bare kernel with no step record. Such a step is opaque
-     * to the optimizer, which then degrades to the unoptimized plan;
-     * kept for custom nodes that predate the step IR.
-     */
-    void
-    addStep(BatchStep step)
-    {
-        batch::StepInfo info;
-        info.kind = batch::StepKind::Opaque;
-        info.run = std::move(step);
-        steps_.push_back(std::move(info));
-    }
-
     std::size_t columnCount() const { return columns_.size(); }
     std::uint64_t leafCount() const { return leafCount_; }
 
@@ -759,12 +744,11 @@ struct PlanOptions
      * Execution backend for elementwise strips (orthogonal to the
      * pass toggles; outputs are bit-identical either way). Auto
      * resolves at plan-build time: fused groups compile to native
-     * fragments when jit::available(), vector strips when the CPU
-     * has a usable vector unit, scalar otherwise. Jit prefers native
-     * fragments and falls back per group to the SIMD strips on any
-     * emitter refusal; Simd forces the kernel-layer strips (safe
-     * everywhere — the kernels emulate missing ISAs in scalar code);
-     * Scalar forces the plain interpreter strips.
+     * fragments when jit::available() (a group the emitter refuses
+     * falls back to the SIMD strips), vector strips when the CPU has
+     * AVX2, scalar otherwise. Simd forces the kernel-layer strips
+     * (safe everywhere — the kernels emulate missing ISAs in scalar
+     * code); Scalar forces the plain interpreter strips.
      */
     simd::ExecBackend backend = simd::ExecBackend::Auto;
 
@@ -823,8 +807,8 @@ struct PlanStats
     bool jitStrips = false;
     /** Elementwise strip ops compiled into native fragments. The
      *  simd/scalar op counts above still classify the retained
-     *  fallback strips (they execute partial tail strips and cover
-     *  forced fallback), so the three counts are not disjoint. */
+     *  fallback strips (they execute partial tail strips), so the
+     *  three counts are not disjoint. */
     std::size_t jitStripOps = 0;
     /** Native fragments this plan uses (compiled or cache-served). */
     std::size_t jitFragments = 0;
@@ -1063,38 +1047,28 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
     for (const auto& meta : metas)
         stats_.bytesPerSampleLowered += meta.elemSize;
 
-    // An opaque step may read or write any column, so no pass can
-    // reason across it; degrade to the literal transcription.
-    const bool optimizable =
-        std::all_of(steps.begin(), steps.end(), [](const StepInfo& s) {
-            return s.kind != StepKind::Opaque
-                   && s.out != batch::kNoColumn;
-        });
-    const bool cse = options.cse && optimizable;
-    const bool fold = options.constantFolding && optimizable;
-    const bool fuse = options.fuseElementwise && optimizable;
-    const bool reuse = options.reuseBuffers && optimizable;
+    const bool cse = options.cse;
+    const bool fold = options.constantFolding;
+    const bool fuse = options.fuseElementwise;
+    const bool reuse = options.reuseBuffers;
 
     // Backend resolution happens once, here: Auto asks the dispatch
-    // layer whether a vector unit is actually usable on this machine;
-    // Simd always compiles the kernel-layer strips (without AVX2 they
-    // run the scalar emulation, so this is safe everywhere); Scalar
-    // always compiles the interpreter strips. Outputs are
-    // bit-identical either way — the choice is purely about speed.
-    // Jit resolves per fused group below: each group that the
-    // fragment emitter accepts runs native code, and every refusal
-    // (unsupported op, ISA, W^X failure) falls back to the SIMD
-    // strips — so Jit implies wantSimd for the fallback rungs.
+    // layer whether AVX2 is usable on this machine; Simd always
+    // compiles the kernel-layer strips (without AVX2 they run the
+    // scalar emulation, so this is safe everywhere); Scalar always
+    // compiles the interpreter strips. Outputs are bit-identical
+    // either way — the choice is purely about speed. Under Auto the
+    // JIT resolves per fused group below: each group the fragment
+    // emitter accepts runs native code, and every refusal
+    // (unsupported op, W^X failure) falls back to the SIMD strips,
+    // which jit::available() (AVX2 required) guarantees are wanted.
     const bool wantSimd =
         options.backend == simd::ExecBackend::Simd
-        || options.backend == simd::ExecBackend::Jit
         || (options.backend == simd::ExecBackend::Auto
-            && simd::activeIsa() != simd::Isa::Scalar);
-    const bool wantJit =
-        fuse
-        && (options.backend == simd::ExecBackend::Jit
-            || options.backend == simd::ExecBackend::Auto)
-        && jit::available();
+            && simd::activeIsa() == simd::Isa::Avx2);
+    const bool wantJit = fuse
+                         && options.backend == simd::ExecBackend::Auto
+                         && jit::available();
     stats_.backendRequested = options.backend;
     stats_.simdStrips = wantSimd;
     const simd::Isa buildIsa =
@@ -1198,8 +1172,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
         kept = std::move(steps);
     }
 
-    const std::size_t rootRep =
-        optimizable ? canon(rootColumn_) : rootColumn_;
+    const std::size_t rootRep = canon(rootColumn_);
 
     // ---- dead-step elimination --------------------------------------
     //
@@ -1634,7 +1607,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
         for (auto& meta : metas)
             physFactories_.push_back(std::move(meta.factory));
         for (std::size_t i = 0; i < metas.size(); ++i)
-            slots_[i] = optimizable ? canon(i) : i;
+            slots_[i] = canon(i);
         stats_.columnsMaterialized = metas.size();
         stats_.bytesPerSampleMaterialized = stats_.bytesPerSampleLowered;
     } else {

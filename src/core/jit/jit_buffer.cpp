@@ -3,11 +3,11 @@
 #include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
-#define UNCERTAIN_JIT_HAVE_MMAP 1
+#define UNCERTAIN_HAVE_MMAP 1
 #include <sys/mman.h>
 #include <unistd.h>
 #else
-#define UNCERTAIN_JIT_HAVE_MMAP 0
+#define UNCERTAIN_HAVE_MMAP 0
 #endif
 
 namespace uncertain {
@@ -15,7 +15,7 @@ namespace jit {
 
 ExecBuffer::~ExecBuffer()
 {
-#if UNCERTAIN_JIT_HAVE_MMAP
+#if UNCERTAIN_HAVE_MMAP
     if (mem_ != nullptr)
         ::munmap(mem_, mapped_);
 #endif
@@ -24,7 +24,7 @@ ExecBuffer::~ExecBuffer()
 std::unique_ptr<ExecBuffer>
 ExecBuffer::seal(const std::uint8_t* code, std::size_t size)
 {
-#if UNCERTAIN_JIT_HAVE_MMAP
+#if UNCERTAIN_HAVE_MMAP
     if (code == nullptr || size == 0)
         return nullptr;
     const long page = ::sysconf(_SC_PAGESIZE);

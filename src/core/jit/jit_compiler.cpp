@@ -1,7 +1,6 @@
 #include "core/jit/jit_compiler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <limits>
 #include <cstring>
@@ -581,9 +580,7 @@ class GroupEmitter
 
 // ---- availability ----------------------------------------------------
 
-std::atomic<bool> g_forceDisabled{false};
-
-#if !defined(UNCERTAIN_JIT_DISABLED) && defined(__x86_64__)
+#if defined(__x86_64__)
 bool
 execProbe()
 {
@@ -662,27 +659,11 @@ cacheKey(const std::vector<GroupStep>& steps, std::size_t columnSlots,
 bool
 available()
 {
-#if defined(UNCERTAIN_JIT_DISABLED) || !defined(__x86_64__)
-    return false;
+#if defined(__x86_64__)
+    return simd::activeIsa() == simd::Isa::Avx2 && execProbe();
 #else
-    if (g_forceDisabled.load(std::memory_order_relaxed))
-        return false;
-    if (simd::activeIsa() != simd::Isa::Avx2)
-        return false;
-    return execProbe();
+    return false;
 #endif
-}
-
-void
-setForceDisabled(bool disabled)
-{
-    g_forceDisabled.store(disabled, std::memory_order_relaxed);
-}
-
-bool
-forceDisabled()
-{
-    return g_forceDisabled.load(std::memory_order_relaxed);
 }
 
 const char*

@@ -24,11 +24,11 @@
  *
  * compileGroup() refuses — returning a null fragment — rather than
  * guess: unsupported op (anything outside the f64/i64/bool strip
- * vocabulary below, e.g. the int32 kernels), no AVX2,
- * register pressure beyond the allocator, too many distinct columns,
- * executable memory unavailable, or a -DUNCERTAIN_JIT=OFF build. The
- * caller falls back to the SIMD/scalar strips; the interpreter
- * remains the always-available oracle.
+ * vocabulary below, e.g. the int32 kernels), no AVX2 (including a
+ * -DUNCERTAIN_SIMD=OFF build), register pressure beyond the
+ * allocator, too many distinct columns, or executable memory
+ * unavailable. The caller falls back to the SIMD/scalar strips; the
+ * interpreter remains the always-available oracle.
  */
 
 #ifndef UNCERTAIN_CORE_JIT_JIT_COMPILER_HPP
@@ -152,26 +152,13 @@ struct FragmentCacheStats
 };
 
 /**
- * Can the JIT emit anything on this build/CPU right now? The emitter
- * targets AVX2 only, so this requires simd::activeIsa() == Avx2: it
- * is false on a pre-AVX2 x86-64 CPU, under simd::setForceScalar and
- * in -DUNCERTAIN_SIMD=OFF builds (the JIT is part of the vector
- * execution story and obeys the same kill switches). It is also
- * false on non-x86-64, -DUNCERTAIN_JIT=OFF builds,
- * setForceDisabled(true), or when the one-time executable-memory
- * probe failed.
+ * Can the JIT emit anything in this process? True exactly when the
+ * target is x86-64, simd::activeIsa() is Avx2 (the emitter targets
+ * AVX2 only, so a pre-AVX2 CPU or a -DUNCERTAIN_SIMD=OFF build says
+ * no) and the one-time executable-memory probe passed. Fixed for the
+ * life of the process.
  */
 bool available();
-
-/**
- * Process-wide kill switch, the JIT analog of simd::setForceScalar:
- * while true, available() is false and every compileGroup call
- * refuses. Used by the forced-fallback tests and the bench axes.
- */
-void setForceDisabled(bool disabled);
-
-/** Current state of the force-disable switch. */
-bool forceDisabled();
 
 /** Name of the ISA fragments are emitted for: "avx2" when
  *  available(), else "none". The emitter follows the *running CPU*

@@ -11,7 +11,7 @@
  * bit-identical semantics: f64 arithmetic and ordered compares, i64
  * add/sub, bool logic, and f64 select. int32 ops are intentionally
  * absent — a group containing one refuses to JIT and falls back to
- * the SIMD/scalar strips, which the forced-fallback tests rely on.
+ * the SIMD/scalar strips, which the refused-group test relies on.
  */
 
 #ifndef UNCERTAIN_CORE_JIT_JIT_FORM_HPP
@@ -33,7 +33,7 @@ struct OpFor
     static constexpr bool available = false;
 };
 
-#define UNCERTAIN_JIT_OP(Functor, OpName, R, ...)                         \
+#define UNCERTAIN_FRAGMENT_OP(Functor, OpName, R, ...)                    \
     template <>                                                           \
     struct OpFor<core::ops::Functor, R, __VA_ARGS__>                      \
     {                                                                     \
@@ -41,31 +41,31 @@ struct OpFor
         static constexpr Op op = Op::OpName;                              \
     }
 
-UNCERTAIN_JIT_OP(Add, AddF64, double, double, double);
-UNCERTAIN_JIT_OP(Sub, SubF64, double, double, double);
-UNCERTAIN_JIT_OP(Mul, MulF64, double, double, double);
-UNCERTAIN_JIT_OP(Div, DivF64, double, double, double);
-UNCERTAIN_JIT_OP(Min, MinF64, double, double, double);
-UNCERTAIN_JIT_OP(Max, MaxF64, double, double, double);
-UNCERTAIN_JIT_OP(Neg, NegF64, double, double);
+UNCERTAIN_FRAGMENT_OP(Add, AddF64, double, double, double);
+UNCERTAIN_FRAGMENT_OP(Sub, SubF64, double, double, double);
+UNCERTAIN_FRAGMENT_OP(Mul, MulF64, double, double, double);
+UNCERTAIN_FRAGMENT_OP(Div, DivF64, double, double, double);
+UNCERTAIN_FRAGMENT_OP(Min, MinF64, double, double, double);
+UNCERTAIN_FRAGMENT_OP(Max, MaxF64, double, double, double);
+UNCERTAIN_FRAGMENT_OP(Neg, NegF64, double, double);
 
-UNCERTAIN_JIT_OP(Lt, LtF64, bool, double, double);
-UNCERTAIN_JIT_OP(Gt, GtF64, bool, double, double);
-UNCERTAIN_JIT_OP(Le, LeF64, bool, double, double);
-UNCERTAIN_JIT_OP(Ge, GeF64, bool, double, double);
-UNCERTAIN_JIT_OP(Eq, EqF64, bool, double, double);
-UNCERTAIN_JIT_OP(Ne, NeF64, bool, double, double);
+UNCERTAIN_FRAGMENT_OP(Lt, LtF64, bool, double, double);
+UNCERTAIN_FRAGMENT_OP(Gt, GtF64, bool, double, double);
+UNCERTAIN_FRAGMENT_OP(Le, LeF64, bool, double, double);
+UNCERTAIN_FRAGMENT_OP(Ge, GeF64, bool, double, double);
+UNCERTAIN_FRAGMENT_OP(Eq, EqF64, bool, double, double);
+UNCERTAIN_FRAGMENT_OP(Ne, NeF64, bool, double, double);
 
-UNCERTAIN_JIT_OP(Add, AddI64, std::int64_t, std::int64_t, std::int64_t);
-UNCERTAIN_JIT_OP(Sub, SubI64, std::int64_t, std::int64_t, std::int64_t);
+UNCERTAIN_FRAGMENT_OP(Add, AddI64, std::int64_t, std::int64_t, std::int64_t);
+UNCERTAIN_FRAGMENT_OP(Sub, SubI64, std::int64_t, std::int64_t, std::int64_t);
 
-UNCERTAIN_JIT_OP(And, AndBool, bool, bool, bool);
-UNCERTAIN_JIT_OP(Or, OrBool, bool, bool, bool);
-UNCERTAIN_JIT_OP(Not, NotBool, bool, bool);
+UNCERTAIN_FRAGMENT_OP(And, AndBool, bool, bool, bool);
+UNCERTAIN_FRAGMENT_OP(Or, OrBool, bool, bool, bool);
+UNCERTAIN_FRAGMENT_OP(Not, NotBool, bool, bool);
 
-UNCERTAIN_JIT_OP(Select, SelectF64, double, bool, double, double);
+UNCERTAIN_FRAGMENT_OP(Select, SelectF64, double, bool, double, double);
 
-#undef UNCERTAIN_JIT_OP
+#undef UNCERTAIN_FRAGMENT_OP
 
 } // namespace jit
 } // namespace uncertain

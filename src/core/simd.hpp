@@ -31,18 +31,16 @@ namespace uncertain {
 namespace simd {
 
 /**
- * Which strip implementation a compiled plan uses.
+ * Which strip implementation a compiled plan uses. The running CPU
+ * picks the code under Auto; Simd and Scalar override it per plan.
  *
  * - Auto:   compile fused elementwise groups to native fragments when
  *           the plan-level JIT is available (jit::available()), else
- *           vectorize when activeIsa() reports AVX2 at plan-build
- *           time, else compile the scalar strips.
- * - Jit:    prefer native fragments for every fused group. Safe on
- *           any machine: a group the emitter refuses (unsupported op,
- *           no AVX2, no executable memory, -DUNCERTAIN_JIT=OFF)
- *           falls back to the SIMD strips, which in turn run their
- *           scalar emulation without AVX2 — the fallback order is
- *           always jit -> simd -> scalar, bit-identical at every rung.
+ *           vectorize when activeIsa() reports AVX2, else compile the
+ *           scalar strips. A group the fragment emitter refuses
+ *           (e.g. an int32 op) runs the SIMD strips instead — the
+ *           fallback order is always jit -> simd -> scalar,
+ *           bit-identical at every rung.
  * - Simd:   always route vectorizable strips through the kernel
  *           layer. Safe on any machine — without AVX2 the kernels
  *           run their scalar emulation — so tests can exercise the
@@ -54,15 +52,13 @@ enum class ExecBackend : std::uint8_t
     Auto = 0,
     Simd = 1,
     Scalar = 2,
-    Jit = 3,
 };
 
-/** Human-readable backend name ("auto", "jit", "simd", "scalar"). */
+/** Human-readable backend name ("auto", "simd", "scalar"). */
 inline const char*
 backendName(ExecBackend backend)
 {
     switch (backend) {
-    case ExecBackend::Jit: return "jit";
     case ExecBackend::Simd: return "simd";
     case ExecBackend::Scalar: return "scalar";
     case ExecBackend::Auto: break;

@@ -20,7 +20,6 @@
 
 #include "core/simd_kernels.hpp"
 
-#include <atomic>
 #include <cstring>
 #include <type_traits>
 
@@ -36,8 +35,6 @@ namespace simd {
 
 namespace {
 
-std::atomic<bool> gForceScalar{false};
-
 Isa
 detectIsaOnce()
 {
@@ -49,12 +46,12 @@ detectIsaOnce()
 }
 
 /** Does a call made with @p isa run the AVX2 body? Only if it asked
- *  for AVX2 and the binary and the CPU both have it (detectedIsa()
- *  is Scalar whenever the AVX2 code is compiled out). */
+ *  for AVX2 and the binary and the CPU both have it (activeIsa() is
+ *  Scalar whenever the AVX2 code is compiled out). */
 bool
 runsAvx2(Isa isa)
 {
-    return isa == Isa::Avx2 && detectedIsa() == Isa::Avx2;
+    return isa == Isa::Avx2 && activeIsa() == Isa::Avx2;
 }
 
 // =====================================================================
@@ -827,6 +824,10 @@ zigguratAcceptAvx2(const std::uint64_t* words, std::size_t n,
                 i + static_cast<std::size_t>(lane));
         }
     }
+    // Clear the upper YMM halves before the SSE-encoded scalar tail:
+    // left dirty, every SSE instruction after this call pays the
+    // AVX-SSE transition penalty (GCC omits the vzeroupper at -O2).
+    _mm256_zeroupper();
     return zigguratAcceptScalar(words, i, n, kn, wn, mu, sigma, out,
                                 rejects, nRejects);
 }
@@ -839,42 +840,11 @@ zigguratAcceptAvx2(const std::uint64_t* words, std::size_t n,
 // Public dispatch.
 // =====================================================================
 
-
-Isa
-compiledIsa()
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    return Isa::Avx2;
-#else
-    return Isa::Scalar;
-#endif
-}
-
-Isa
-detectedIsa()
-{
-    static const Isa isa = detectIsaOnce();
-    return isa;
-}
-
 Isa
 activeIsa()
 {
-    if (gForceScalar.load(std::memory_order_relaxed))
-        return Isa::Scalar;
-    return detectedIsa();
-}
-
-void
-setForceScalar(bool force)
-{
-    gForceScalar.store(force, std::memory_order_relaxed);
-}
-
-bool
-forceScalar()
-{
-    return gForceScalar.load(std::memory_order_relaxed);
+    static const Isa isa = detectIsaOnce();
+    return isa;
 }
 
 std::size_t

@@ -47,31 +47,14 @@ enum class Isa : std::uint8_t
     Avx2 = 1,   //!< 4 x double / 4 x u64 packs + gathers (x86-64)
 };
 
-/** Strongest Isa this binary carries code for (compile-time). */
-Isa compiledIsa();
-
-/** Strongest Isa of this binary the running CPU supports (runtime,
- *  cached): Avx2 only if compiledIsa() is Avx2 and the CPU has it. */
-Isa detectedIsa();
-
 /**
- * The Isa kernels actually execute: detectedIsa(), or Scalar while
- * setForceScalar(true) is in effect. This is what
+ * The Isa kernels execute for production callers: Avx2 when this
+ * binary carries the AVX2 bodies and the running CPU supports them,
+ * else Scalar. Detected once per process and never changes after,
+ * so plans and caches may resolve against it once. This is what
  * PlanOptions::backend == Auto resolves against.
  */
 Isa activeIsa();
-
-/**
- * Process-wide kill switch: force activeIsa() to Scalar. Used by the
- * --backend scalar bench axis and the equivalence tests so that the
- * ziggurat layer (which is below the plan and has no per-plan
- * toggle) drops to its scalar path together with the strips. Not a per-call override: kernels invoked with an explicit
- * non-scalar Isa still vectorize.
- */
-void setForceScalar(bool force);
-
-/** Current state of the force-scalar switch. */
-bool forceScalar();
 
 /** Doubles per vector register a call with @p isa runs at: 4 if
  *  it runs the AVX2 body, else 1. */

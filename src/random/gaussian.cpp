@@ -103,6 +103,9 @@ zigguratFix(Rng& rng, std::int32_t hz, std::uint32_t iz)
 
 Gaussian::Gaussian(double mu, double sigma) : mu_(mu), sigma_(sigma)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(mu), "Gaussian requires finite mu");
+    UNCERTAIN_REQUIRE(std::isfinite(sigma),
+                      "Gaussian requires finite sigma");
     UNCERTAIN_REQUIRE(sigma > 0.0, "Gaussian requires sigma > 0");
 }
 

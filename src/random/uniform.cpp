@@ -11,6 +11,9 @@ namespace random {
 Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi)
 {
     UNCERTAIN_REQUIRE(lo < hi, "Uniform requires lo < hi");
+    // Also refuses infinite bounds: the sampler scales by hi - lo.
+    UNCERTAIN_REQUIRE(std::isfinite(hi - lo),
+                      "Uniform requires finite hi - lo");
 }
 
 double

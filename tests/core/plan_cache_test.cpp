@@ -97,57 +97,33 @@ TEST(PlanCache, DistinctOptimizerConfigsGetDistinctPlans)
 TEST(PlanCache, BackendAndJitAvailabilityAreKeyed)
 {
     // One cache shared between samplers that request different
-    // backends must hold one plan per backend — a Jit plan served to
-    // a Scalar sampler (or vice versa) would silently run the wrong
-    // code. The key also folds in the execution environment (active
-    // ISA, JIT availability), so flipping a process-wide kill switch
-    // invalidates rather than aliases.
+    // backends must hold one plan per backend — an Auto plan (JIT
+    // fragments on an AVX2 host) served to a Scalar sampler (or vice
+    // versa) would silently run the wrong code. JIT availability
+    // needs no key bits of its own: it is fixed per process, and
+    // only Auto consults it.
     PlanCache cache;
     auto expr = gaussianLeaf() * Uncertain<double>(3.0)
                 + Uncertain<double>(0.5);
 
-    PlanOptions jitOpt;
-    jitOpt.backend = simd::ExecBackend::Jit;
+    PlanOptions autoOpt;
     PlanOptions simdOpt;
     simdOpt.backend = simd::ExecBackend::Simd;
     PlanOptions scalarOpt;
     scalarOpt.backend = simd::ExecBackend::Scalar;
 
-    auto jitPlan = cache.planFor(expr.node(), jitOpt);
+    auto autoPlan = cache.planFor(expr.node(), autoOpt);
     auto simdPlan = cache.planFor(expr.node(), simdOpt);
     auto scalarPlan = cache.planFor(expr.node(), scalarOpt);
-    EXPECT_NE(jitPlan.get(), simdPlan.get());
-    EXPECT_NE(jitPlan.get(), scalarPlan.get());
+    EXPECT_NE(autoPlan.get(), simdPlan.get());
+    EXPECT_NE(autoPlan.get(), scalarPlan.get());
     EXPECT_NE(simdPlan.get(), scalarPlan.get());
     EXPECT_EQ(cache.stats().misses, 3u);
 
     // Same backend again: hits, not recompiles.
-    EXPECT_EQ(cache.planFor(expr.node(), jitOpt).get(), jitPlan.get());
+    EXPECT_EQ(cache.planFor(expr.node(), autoOpt).get(), autoPlan.get());
     EXPECT_EQ(cache.stats().hits, 1u);
-
-    // Flip the JIT kill switch: the environment byte changes, so an
-    // Auto/Jit request misses instead of reusing the fragment-backed
-    // plan compiled while the JIT was live.
-    const bool jitWasOn = jit::available();
-    jit::setForceDisabled(true);
-    auto jitOffPlan = cache.planFor(expr.node(), jitOpt);
-    jit::setForceDisabled(false);
-    if (jitWasOn) {
-        EXPECT_NE(jitOffPlan.get(), jitPlan.get());
-        EXPECT_FALSE(jitOffPlan->stats().jitStrips);
-    }
-
-    // Likewise force-scalar: an Auto plan built under the switch must
-    // not be served once the vector unit is visible again.
-    auto autoPlan = cache.planFor(expr.node(), PlanOptions{});
-    simd::setForceScalar(true);
-    auto forcedPlan = cache.planFor(expr.node(), PlanOptions{});
-    simd::setForceScalar(false);
-    if (simd::activeIsa() != simd::Isa::Scalar) {
-        EXPECT_NE(forcedPlan.get(), autoPlan.get());
-        EXPECT_FALSE(forcedPlan->stats().simdStrips);
-        EXPECT_FALSE(forcedPlan->stats().jitStrips);
-    }
+    EXPECT_EQ(autoPlan->stats().jitStrips, jit::available());
 }
 
 TEST(PlanCache, NeverReturnsStalePlanUnderRootChurn)

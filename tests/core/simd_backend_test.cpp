@@ -17,14 +17,16 @@
  *  3. RNG fills — Rng's bulk fills retrace the exact serial orbit:
  *     same outputs, same final engine state, same double mapping as
  *     Rng::nextDouble.
- *  4. Ziggurat — Gaussian::sampleMany under the vector accept pass is
- *     bit-identical to the forced-scalar path.
+ *  4. Ziggurat — the vector accept pass returns the scalar pass's
+ *     accepted values and reject list bit for bit, over rejects,
+ *     INT32_MIN words and tails of every length mod 4.
  *  5. Plan equivalence — all 16 optimizer toggle combinations x
- *     {Auto, Jit, Simd, Scalar} backends produce identical sample
+ *     {Auto, Simd, Scalar} backends produce identical sample
  *     streams, and PlanStats/exec counters report the backend
- *     truthfully. The JIT rung gets its own parity tests (IEEE edge
- *     cases, odd tails, forced fallback, fragment-cache races) since
- *     it emits machine code instead of calling kernels.
+ *     truthfully. The JIT rung (what Auto compiles fused groups to
+ *     where the JIT is available) gets its own parity tests (IEEE
+ *     edge cases, odd tails, refused groups, fragment-cache races)
+ *     since it emits machine code instead of calling kernels.
  *  6. Law conformance — KS and TV-certification entries for the
  *     SIMD-backed ziggurat and an optimized-plan root column
  *     (SimdBackendStatistical.* / SimdBackendCertification.* run in
@@ -61,34 +63,6 @@
 namespace uncertain {
 namespace core {
 namespace {
-
-/** RAII for the process-wide force-scalar switch. */
-class ForceScalarGuard
-{
-  public:
-    explicit ForceScalarGuard(bool force) : prev_(simd::forceScalar())
-    {
-        simd::setForceScalar(force);
-    }
-    ~ForceScalarGuard() { simd::setForceScalar(prev_); }
-
-  private:
-    bool prev_;
-};
-
-/** RAII for the process-wide JIT kill switch. */
-class ForceJitOffGuard
-{
-  public:
-    explicit ForceJitOffGuard(bool off) : prev_(jit::forceDisabled())
-    {
-        jit::setForceDisabled(off);
-    }
-    ~ForceJitOffGuard() { jit::setForceDisabled(prev_); }
-
-  private:
-    bool prev_;
-};
 
 /** Every Isa the dispatcher knows; without AVX2 the kernels run the
  *  scalar emulation for Isa::Avx2. */
@@ -182,18 +156,14 @@ planSamples(const Uncertain<double>& expr, const PlanOptions& options,
 TEST(SimdBackend, IsaIntrospectionIsConsistent)
 {
     EXPECT_EQ(simd::laneWidth(simd::Isa::Scalar), 1u);
-    EXPECT_GE(simd::laneWidth(simd::compiledIsa()), 1u);
     EXPECT_STREQ(simd::isaName(simd::Isa::Scalar), "scalar");
     EXPECT_STREQ(simd::isaName(simd::Isa::Avx2), "avx2");
 
-    // activeIsa is the detected ISA unless forced scalar, and there
-    // are two tiers: AVX2 (4 lanes) or the scalar emulation.
-    ForceScalarGuard off(false);
-    EXPECT_EQ(simd::activeIsa(), simd::detectedIsa());
-    EXPECT_LE(static_cast<int>(simd::activeIsa()),
-              static_cast<int>(simd::compiledIsa()));
+    // Two tiers: AVX2 (4 lanes) or the scalar emulation, and a call
+    // asking for AVX2 runs at whatever the CPU makes active.
     const std::size_t lanes = simd::laneWidth(simd::activeIsa());
     EXPECT_TRUE(lanes == 1u || lanes == 4u) << lanes;
+    EXPECT_EQ(simd::laneWidth(simd::Isa::Avx2), lanes);
 
     // The JIT emits AVX2 only: available() implies an AVX2 kernel layer.
     if (jit::available()) {
@@ -202,14 +172,6 @@ TEST(SimdBackend, IsaIntrospectionIsConsistent)
     } else {
         EXPECT_STREQ(jit::codegenIsaName(), "none");
     }
-    {
-        ForceScalarGuard on(true);
-        EXPECT_EQ(simd::activeIsa(), simd::Isa::Scalar);
-        EXPECT_TRUE(simd::forceScalar());
-        EXPECT_FALSE(jit::available());
-        EXPECT_STREQ(jit::codegenIsaName(), "none");
-    }
-    EXPECT_FALSE(simd::forceScalar());
 }
 
 TEST(SimdBackend, BinaryF64MatchesScalarAcrossIsas)
@@ -514,21 +476,16 @@ TEST(SimdBackend, XoshiroFillDoubleMatchesRngMapping)
             v = open ? rng.nextDoubleOpen() : rng.nextDouble();
         const std::uint64_t after = rng.nextU64();
 
-        // The Rng facade's bulk fill, forced-scalar and not.
-        for (bool force : {false, true}) {
-            ForceScalarGuard guard(force);
-            Rng fresh(seed);
-            std::vector<double> viaRng(n, -777.0);
-            if (open)
-                fresh.fillDoubleOpen(viaRng.data(), n);
-            else
-                fresh.fillDouble(viaRng.data(), n);
-            EXPECT_TRUE(bitIdentical(ref, viaRng))
-                << "Rng fill open=" << open << " force-scalar="
-                << force;
-            EXPECT_EQ(after, fresh.nextU64())
-                << "post-fill state open=" << open;
-        }
+        // The Rng facade's bulk fill.
+        Rng fresh(seed);
+        std::vector<double> viaRng(n, -777.0);
+        if (open)
+            fresh.fillDoubleOpen(viaRng.data(), n);
+        else
+            fresh.fillDouble(viaRng.data(), n);
+        EXPECT_TRUE(bitIdentical(ref, viaRng)) << "Rng fill open=" << open;
+        EXPECT_EQ(after, fresh.nextU64())
+            << "post-fill state open=" << open;
     }
 }
 
@@ -547,22 +504,69 @@ TEST(SimdBackend, RngBulkFillsMatchScalarDraws)
 
 // ---- 4. ziggurat -----------------------------------------------------
 
-TEST(SimdBackend, GaussianSampleManyBitIdenticalToForcedScalar)
+TEST(SimdBackend, ZigguratAcceptMatchesScalarAcrossIsas)
 {
-    random::Gaussian dist(-1.5, 2.25);
-    const std::size_t n = 40000; // enough to hit tail/wedge rejects
-    std::vector<double> vec(n), scal(n);
-    {
-        ForceScalarGuard guard(false);
-        Rng rng = testing::testRng(71);
-        dist.sampleMany(rng, vec.data(), n);
+    // Synthetic layer tables: random thresholds, about half with the
+    // top bit set so the unsigned magnitude compare is tested on both
+    // sides of 2^31, layer 1 rejecting everything (as in the real
+    // tables), and layer 0 below 2^31 so an INT32_MIN word (iz == 0,
+    // |hz| == 2^31) must reject — a signed compare would accept it.
+    Rng rng = testing::testRng(71);
+    std::uint32_t kn[128];
+    double wn[128];
+    for (std::size_t i = 0; i < 128; ++i) {
+        kn[i] = static_cast<std::uint32_t>(rng.nextU64() >> 32);
+        wn[i] = (rng.nextDouble() + 0.5) * 1e-9;
     }
-    {
-        ForceScalarGuard guard(true);
-        Rng rng = testing::testRng(71);
-        dist.sampleMany(rng, scal.data(), n);
+    kn[0] = 0x76AD2212u;
+    kn[1] = 0;
+    const double mu = -1.5;
+    const double sigma = 2.25;
+
+    // Lengths 0..40 cover every tail length mod 4 next to whole
+    // packs; 1001 puts many rejects (and a 1-word tail) in one call.
+    std::vector<std::size_t> lengths(41);
+    for (std::size_t n = 0; n < lengths.size(); ++n)
+        lengths[n] = n;
+    lengths.push_back(1001);
+    for (std::size_t n : lengths) {
+        std::vector<std::uint64_t> words(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            words[i] = rng.nextU64();
+            if (i % 7 == 3) // hz = INT32_MIN, random high half
+                words[i] = (words[i] & 0xFFFFFFFF00000000ull)
+                           | 0x80000000ull;
+        }
+        std::vector<double> ref(n, -777.0);
+        std::vector<std::uint32_t> refRejects(n);
+        const std::size_t refCount = simd::zigguratAccept(
+            simd::Isa::Scalar, words.data(), n, kn, wn, mu, sigma,
+            ref.data(), refRejects.data());
+        refRejects.resize(refCount);
+        for (std::size_t i = 3; i < n; i += 7)
+            EXPECT_TRUE(std::binary_search(refRejects.begin(),
+                                           refRejects.end(), i))
+                << "INT32_MIN word " << i << " accepted, n " << n;
+        if (n == 1001)
+            EXPECT_GT(refCount, n / 5);
+
+        for (auto isa : kIsas) {
+            std::vector<double> out(n, -777.0);
+            std::vector<std::uint32_t> rejects(n);
+            const std::size_t count = simd::zigguratAccept(
+                isa, words.data(), n, kn, wn, mu, sigma, out.data(),
+                rejects.data());
+            rejects.resize(count);
+            EXPECT_EQ(refRejects, rejects)
+                << "isa " << simd::isaName(isa) << " n " << n;
+            // Reject slots hold unspecified values; every accepted
+            // slot must match bit for bit.
+            for (std::uint32_t r : refRejects)
+                out[r] = ref[r];
+            EXPECT_TRUE(bitIdentical(ref, out))
+                << "isa " << simd::isaName(isa) << " n " << n;
+        }
     }
-    EXPECT_TRUE(bitIdentical(vec, scal));
 }
 
 // ---- 5. plan equivalence and observability ---------------------------
@@ -578,7 +582,6 @@ TEST(SimdBackend, PlanOutputsBitIdenticalAcrossBackendsAndToggles)
     const auto ref = planSamples(expr, PlanOptions::disabled(), n,
                                  seed);
     const simd::ExecBackend backends[] = {simd::ExecBackend::Auto,
-                                          simd::ExecBackend::Jit,
                                           simd::ExecBackend::Simd,
                                           simd::ExecBackend::Scalar};
     for (unsigned mask = 0; mask < 16; ++mask) {
@@ -588,31 +591,6 @@ TEST(SimdBackend, PlanOutputsBitIdenticalAcrossBackendsAndToggles)
             EXPECT_TRUE(bitIdentical(ref, samples))
                 << "toggle mask " << mask << " backend "
                 << simd::backendName(backend);
-        }
-    }
-}
-
-TEST(SimdBackend, AutoBackendFallsBackUnderForceScalar)
-{
-    auto expr = stripHeavyGraph();
-    PlanOptions options; // Auto backend, all passes on
-    {
-        ForceScalarGuard guard(true);
-        auto stats = planStats(expr, options);
-        EXPECT_FALSE(stats.simdStrips);
-        EXPECT_STREQ(stats.isa, "scalar");
-        EXPECT_EQ(stats.laneWidth, 1u);
-        EXPECT_EQ(stats.simdStripOps, 0u);
-    }
-    {
-        ForceScalarGuard guard(false);
-        auto stats = planStats(expr, options);
-        if (simd::activeIsa() != simd::Isa::Scalar) {
-            EXPECT_TRUE(stats.simdStrips);
-            EXPECT_EQ(stats.laneWidth, 4u);
-            EXPECT_GT(stats.simdStripOps, 0u);
-        } else {
-            EXPECT_FALSE(stats.simdStrips);
         }
     }
 }
@@ -640,6 +618,22 @@ TEST(SimdBackend, PlanStatsReportTheRequestedBackend)
     EXPECT_GT(simdStats.simdStripOps, 0u);
     EXPECT_NE(simdStats.toString().find("backend simd"),
               std::string::npos);
+
+    // Auto follows the CPU: vector strips exactly when AVX2 is active
+    // (the -DUNCERTAIN_SIMD=OFF build checks the scalar branch).
+    auto autoStats = planStats(expr, PlanOptions{});
+    EXPECT_EQ(autoStats.backendRequested, simd::ExecBackend::Auto);
+    if (simd::activeIsa() == simd::Isa::Avx2) {
+        EXPECT_TRUE(autoStats.simdStrips);
+        EXPECT_EQ(autoStats.laneWidth, 4u);
+        EXPECT_GT(autoStats.simdStripOps, 0u);
+    } else {
+        EXPECT_FALSE(autoStats.simdStrips);
+        EXPECT_FALSE(autoStats.jitStrips);
+        EXPECT_STREQ(autoStats.isa, "scalar");
+        EXPECT_EQ(autoStats.laneWidth, 1u);
+        EXPECT_EQ(autoStats.simdStripOps, 0u);
+    }
 }
 
 TEST(SimdBackend, ExecCountersObserveVectorStrips)
@@ -704,12 +698,9 @@ TEST(SimdBackend, JitPlanHandlesIeeeEdgeCasesAndOddTails)
     const std::uint64_t seed = 83;
     const auto ref = planSamples(expr, PlanOptions::disabled(), n,
                                  seed);
-    PlanOptions jitOpt;
-    jitOpt.backend = simd::ExecBackend::Jit;
-    EXPECT_TRUE(bitIdentical(ref, planSamples(expr, jitOpt, n, seed)));
     for (unsigned mask = 0; mask < 16; ++mask) {
         auto samples = planSamples(
-            expr, toggleCombo(mask, simd::ExecBackend::Jit), n, seed);
+            expr, toggleCombo(mask, simd::ExecBackend::Auto), n, seed);
         EXPECT_TRUE(bitIdentical(ref, samples)) << "toggle " << mask;
     }
 }
@@ -717,11 +708,10 @@ TEST(SimdBackend, JitPlanHandlesIeeeEdgeCasesAndOddTails)
 TEST(SimdBackend, JitBackendReportsStatsAndCounters)
 {
     auto expr = stripHeavyGraph();
-    PlanOptions options;
-    options.backend = simd::ExecBackend::Jit;
+    PlanOptions options; // Auto: fused groups compile to fragments
     auto stats = planStats(expr, options);
-    EXPECT_EQ(stats.backendRequested, simd::ExecBackend::Jit);
-    EXPECT_NE(stats.toString().find("backend jit"), std::string::npos);
+    EXPECT_EQ(stats.backendRequested, simd::ExecBackend::Auto);
+    EXPECT_NE(stats.toString().find("backend auto"), std::string::npos);
     if (!jit::available()) {
         EXPECT_FALSE(stats.jitStrips);
         EXPECT_EQ(stats.jitFragments, 0u);
@@ -731,7 +721,8 @@ TEST(SimdBackend, JitBackendReportsStatsAndCounters)
     EXPECT_GT(stats.jitStripOps, 0u);
     EXPECT_GT(stats.jitFragments, 0u);
     EXPECT_GT(stats.jitCodeBytes, 0u);
-    EXPECT_NE(stats.toString().find("-> jit"), std::string::npos);
+    EXPECT_NE(stats.toString().find("backend auto -> jit"),
+              std::string::npos);
     EXPECT_NE(stats.toString().find(" fragments "), std::string::npos);
 
     BatchSampler sampler(BatchOptions{1024, options});
@@ -742,60 +733,37 @@ TEST(SimdBackend, JitBackendReportsStatsAndCounters)
     EXPECT_LE(exec.jitStripsExecuted, exec.stripsExecuted);
 }
 
-TEST(SimdBackend, JitForcedFallbackLandsOnSimd)
-{
-    auto expr = stripHeavyGraph();
-    const std::size_t n = 3000;
-    const std::uint64_t seed = 82;
-    const auto ref = planSamples(expr, PlanOptions::disabled(), n,
-                                 seed);
-
-    ForceJitOffGuard off(true);
-    EXPECT_FALSE(jit::available());
-
-    // An explicit Jit request downgrades to the SIMD strips; the
-    // request is still recorded so the report shows the downgrade
-    // ("backend jit -> simd").
-    PlanOptions options;
-    options.backend = simd::ExecBackend::Jit;
-    auto stats = planStats(expr, options);
-    EXPECT_EQ(stats.backendRequested, simd::ExecBackend::Jit);
-    EXPECT_FALSE(stats.jitStrips);
-    EXPECT_EQ(stats.jitFragments, 0u);
-    EXPECT_TRUE(stats.simdStrips);
-    EXPECT_GT(stats.simdStripOps, 0u);
-    EXPECT_NE(stats.toString().find("backend jit -> simd"),
-              std::string::npos);
-    EXPECT_TRUE(bitIdentical(ref, planSamples(expr, options, n, seed)));
-
-    // Auto likewise skips the fragment rung while the switch is off.
-    auto autoStats = planStats(expr, PlanOptions{});
-    EXPECT_FALSE(autoStats.jitStrips);
-}
-
 TEST(SimdBackend, JitRefusesUnsupportedIntOpsAndFallsBack)
 {
     // int32 deliberately has no JIT lowering (core/jit/jit_form.hpp),
-    // so this fused i32 chain must refuse and fall back to the SIMD
-    // strips — bit-for-bit against the scalar backend.
+    // so under Auto this fused i32 chain gets no fragments and falls
+    // back to the SIMD strips — bit-for-bit against the scalar
+    // backend.
     auto die = Uncertain<int>::fromSampler(
         [](Rng& rng) { return static_cast<int>(rng.nextBelow(6)) + 1; },
         "d6");
     auto expr = die * Uncertain<int>(3) + die;
 
-    PlanOptions jitOpt;
-    jitOpt.backend = simd::ExecBackend::Jit;
-    auto stats = BatchPlan::compile(expr.node(), jitOpt)->stats();
+    PlanOptions autoOpt;
+    auto stats = BatchPlan::compile(expr.node(), autoOpt)->stats();
+    EXPECT_EQ(stats.backendRequested, simd::ExecBackend::Auto);
     EXPECT_FALSE(stats.jitStrips);
     EXPECT_EQ(stats.jitFragments, 0u);
+    if (simd::activeIsa() == simd::Isa::Avx2) {
+        // The report shows where the request landed.
+        EXPECT_TRUE(stats.simdStrips);
+        EXPECT_GT(stats.simdStripOps, 0u);
+        EXPECT_NE(stats.toString().find("backend auto -> simd"),
+                  std::string::npos);
+    }
 
     PlanOptions scalarOpt;
     scalarOpt.backend = simd::ExecBackend::Scalar;
     Rng rngA = testing::testRng(84);
     Rng rngB = testing::testRng(84);
-    BatchSampler jitSampler(BatchOptions{1024, jitOpt});
+    BatchSampler autoSampler(BatchOptions{1024, autoOpt});
     BatchSampler scalarSampler(BatchOptions{1024, scalarOpt});
-    EXPECT_EQ(expr.takeSamples(4000, rngA, jitSampler),
+    EXPECT_EQ(expr.takeSamples(4000, rngA, autoSampler),
               expr.takeSamples(4000, rngB, scalarSampler));
 }
 
@@ -809,8 +777,7 @@ TEST(SimdBackend, JitFragmentCacheSharedAcrossPlansAndThreads)
     // own plan, but the strip signatures coincide, so the process-wide
     // fragment cache is hit concurrently — the TSan shard runs this
     // test to certify the cache locking.
-    PlanOptions options;
-    options.backend = simd::ExecBackend::Jit;
+    PlanOptions options; // Auto
     const std::size_t n = 2048;
     const std::uint64_t seed = 86;
     const auto ref = planSamples(stripHeavyGraph(), options, n, seed);
@@ -851,8 +818,8 @@ TEST(SimdBackendStatistical, FusedAffineChainFollowsTheAnalyticLaw)
 
 TEST(SimdBackendStatistical, ZigguratSampleManyMatchesTheLaw)
 {
-    // No force-scalar here: on hosts with a vector unit this runs the
-    // vector accept pass; elsewhere it degrades to the scalar layer.
+    // On hosts with AVX2 this runs the vector accept pass; elsewhere
+    // the scalar layer.
     random::Gaussian dist(0.5, 1.75);
     const std::size_t n = 50000;
     std::vector<double> samples(n);

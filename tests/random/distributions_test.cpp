@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "random/weibull.hpp"
 #include "stats/ks_test.hpp"
 #include "stats/summary.hpp"
+#include "support/error.hpp"
 #include "test_util.hpp"
 
 namespace uncertain {
@@ -252,6 +254,46 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<DistCase>& info) {
         return info.param.label;
     });
+
+/** @p make must throw an Error whose message contains @p name. */
+template <typename F>
+void
+expectRefusedBy(F make, const std::string& name)
+{
+    try {
+        make();
+        ADD_FAILURE() << "constructed; expected refusal by " << name;
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Gaussian, RefusesNonFiniteParameters)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    expectRefusedBy([&] { (void)Gaussian(nan, 1.0); }, "finite mu");
+    expectRefusedBy([&] { (void)Gaussian(inf, 1.0); }, "finite mu");
+    expectRefusedBy([&] { (void)Gaussian(-inf, 1.0); }, "finite mu");
+    expectRefusedBy([&] { (void)Gaussian(0.0, inf); }, "finite sigma");
+    expectRefusedBy([&] { (void)Gaussian(0.0, nan); }, "finite sigma");
+    expectRefusedBy([&] { (void)Gaussian(0.0, 0.0); }, "sigma > 0");
+}
+
+TEST(Uniform, RefusesNonFiniteWidth)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double big = std::numeric_limits<double>::max();
+    expectRefusedBy([&] { (void)Uniform(-inf, inf); }, "finite hi - lo");
+    expectRefusedBy([&] { (void)Uniform(0.0, inf); }, "finite hi - lo");
+    expectRefusedBy([&] { (void)Uniform(-inf, 0.0); }, "finite hi - lo");
+    // Finite bounds whose difference overflows.
+    expectRefusedBy([&] { (void)Uniform(-big, big); }, "finite hi - lo");
+    expectRefusedBy([&] { (void)Uniform(1.0, 1.0); }, "lo < hi");
+    Rng rng = testing::testRng(5);
+    EXPECT_TRUE(std::isfinite(Uniform(-big / 2, big / 2).sample(rng)));
+}
 
 } // namespace
 } // namespace random

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,15 @@ struct GoldenCase
     DistributionPtr (*make)();
     std::uint64_t seed;
 };
+
+// gtest_discover_tests puts the printed parameter into each ctest
+// name. Without this, gtest dumps the raw bytes of the struct, whose
+// first words are a string pointer and a function address.
+void
+PrintTo(const GoldenCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
 
 DistributionPtr
 makeStandardGaussian()
@@ -255,6 +265,12 @@ struct DiscreteGoldenCase
     DistributionPtr (*make)();
     std::uint64_t seed;
 };
+
+void
+PrintTo(const DiscreteGoldenCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
 
 DistributionPtr
 makeGoldenSmallBinomial()
