@@ -412,9 +412,11 @@ reportJitAmortization()
 }
 
 /**
- * Strip "--engine X" / "--engine=X", "--optimizer X" /
- * "--optimizer=X", and "--verbose" from the argument vector (google
- * benchmark rejects flags it does not know) and record the choices.
+ * Strip "--engine X", "--backend X", "--optimizer X" (each also as
+ * "--name=X") and "--verbose" from the argument vector (google
+ * benchmark rejects flags it does not know), recording --optimizer
+ * and --verbose. main() reads --engine and --backend through the
+ * shared bench::engineFlag / bench::backendFlag first.
  */
 void
 parseLocalFlags(int* argc, char** argv)
@@ -422,9 +424,9 @@ parseLocalFlags(int* argc, char** argv)
     int out = 1;
     for (int i = 1; i < *argc; ++i) {
         if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < *argc) {
-            g_engine = argv[++i];
+            ++i; // read by bench::engineFlag in main()
         } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-            g_engine = argv[i] + 9;
+            continue;
         } else if (std::strcmp(argv[i], "--optimizer") == 0
                    && i + 1 < *argc) {
             g_optimizer = argv[++i];
@@ -432,9 +434,9 @@ parseLocalFlags(int* argc, char** argv)
             g_optimizer = argv[i] + 12;
         } else if (std::strcmp(argv[i], "--backend") == 0
                    && i + 1 < *argc) {
-            g_backend = argv[++i];
+            ++i; // read by bench::backendFlag in main()
         } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-            g_backend = argv[i] + 10;
+            continue;
         } else if (std::strcmp(argv[i], "--verbose") == 0) {
             g_verbose = true;
         } else {
@@ -449,28 +451,18 @@ parseLocalFlags(int* argc, char** argv)
 int
 main(int argc, char** argv)
 {
+    // The shared parsers validate (exit 2 on an unknown value) before
+    // parseLocalFlags strips the flags google-benchmark would reject.
+    g_engine = bench::engineFlag(argc, argv);
+    g_backend = bench::backendFlag(argc, argv);
+    g_backendEnum = bench::applyBackend(g_backend);
     parseLocalFlags(&argc, argv);
-    if (g_engine != "tree" && g_engine != "batch") {
-        std::fprintf(stderr,
-                     "unknown --engine '%s' (expected tree or batch)\n",
-                     g_engine.c_str());
-        return 2;
-    }
     if (g_optimizer != "on" && g_optimizer != "off") {
         std::fprintf(stderr,
                      "unknown --optimizer '%s' (expected on or off)\n",
                      g_optimizer.c_str());
         return 2;
     }
-    if (g_backend != "auto" && g_backend != "simd"
-        && g_backend != "scalar") {
-        std::fprintf(stderr,
-                     "unknown --backend '%s' (expected auto, simd or "
-                     "scalar)\n",
-                     g_backend.c_str());
-        return 2;
-    }
-    g_backendEnum = bench::applyBackend(g_backend);
     benchmark::AddCustomContext("engine", g_engine);
     benchmark::AddCustomContext("optimizer", g_optimizer);
     benchmark::AddCustomContext("backend", g_backend);

@@ -75,9 +75,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <type_traits>
 #include <typeindex>
 #include <unordered_map>
@@ -86,7 +86,6 @@
 #include <vector>
 
 #include "core/jit/jit_compiler.hpp"
-#include "core/jit/jit_form.hpp"
 #include "core/simd.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -381,25 +380,14 @@ struct StepInfo
         makeStrip;
 
     /**
-     * Lane-parallel variant of makeStrip, present only when the step's
-     * functor has a simd::VectorForm mapping. The produced micro-op
-     * calls the vector kernel (which clamps to the running CPU), so it
-     * is safe on every machine and bit-identical to the scalar strip.
-     * The plan picks it over makeStrip when the resolved
-     * PlanOptions::backend wants SIMD.
+     * The step's row in the native-op table (simd::nativeOp), when its
+     * functor and types have one. The plan then runs the step's strip
+     * through the kernel layer (simdStripOp) when the resolved
+     * PlanOptions::backend wants SIMD, and a fused group made entirely
+     * of such steps may compile into one JIT fragment per strip. Both
+     * are bit-identical to makeStrip's scalar strip.
      */
-    std::function<StripOp(const std::vector<StripLoc>&, const StripLoc&)>
-        makeStripSimd;
-
-    /**
-     * Plan-level JIT lowering, present when the functor maps into the
-     * fragment emitter's op vocabulary (jit::OpFor). A fused group
-     * made entirely of jitable steps can be compiled into one native
-     * function per strip; a single non-jitable step in the group
-     * refuses the whole group back to the SIMD/scalar strips.
-     */
-    bool jitable = false;
-    jit::Op jitOp = jit::Op::AddF64;
+    std::optional<simd::Op> nativeOp;
 };
 
 namespace detail_ir {
@@ -469,16 +457,6 @@ splatStep(std::size_t col, Store<T> value)
     };
 }
 
-/** out[i] = op(src[i]...) for i in [0, n): the elementwise loop of
- *  every full-block kernel and scalar strip. */
-template <typename R, typename F, typename... Srcs>
-void
-applyLoop(const F& op, Store<R>* out, std::size_t n, const Srcs*... srcs)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = static_cast<Store<R>>(op(srcs[i]...));
-}
-
 /** The first @p N operand locations of a strip micro-op. */
 template <std::size_t N>
 std::array<StripLoc, N>
@@ -515,8 +493,9 @@ makeConstStep(std::size_t col, const T& value)
 /**
  * StepInfo for an elementwise op R = op(As...) into column @p col,
  * reading operand column operands[k] for argument k. One builder for
- * every arity: the full-block kernel, the fold, the scalar and SIMD
- * strips and the JIT mapping are each written once over the pack.
+ * every arity: the full-block kernel, the fold and the scalar strip
+ * are each written once over the pack, and the native op is looked
+ * up in the one table.
  */
 template <typename R, typename... As, typename F>
 StepInfo
@@ -535,7 +514,7 @@ makeElementwiseStep(std::size_t col,
     info.cseSafe = std::is_empty_v<F>;
     info.run = [col, operands, op](BatchWorkspace& ws) {
         [&]<std::size_t... I>(std::index_sequence<I...>) {
-            detail_ir::applyLoop<R>(
+            ops::applyLoop(
                 op, ws.template column<R>(col).data(), ws.length(),
                 ws.template column<As>(operands[I]).data()...);
         }(Indices{});
@@ -560,7 +539,7 @@ makeElementwiseStep(std::size_t col,
             return [locs, dst, op](BatchWorkspace& ws, std::size_t base,
                                    std::size_t n, unsigned char* scratch) {
                 [&]<std::size_t... I>(std::index_sequence<I...>) {
-                    detail_ir::applyLoop<R>(
+                    ops::applyLoop(
                         op, detail_ir::stripDst<R>(ws, dst, base, scratch),
                         n,
                         detail_ir::stripSrc<As>(ws, locs[I], base,
@@ -568,88 +547,41 @@ makeElementwiseStep(std::size_t col,
                 }(Indices{});
             };
         };
-        if constexpr (simd::VectorForm<F, R, As...>::available) {
-            info.makeStripSimd =
-                [](const std::vector<StripLoc>& srcs,
-                   const StripLoc& dst) -> StripOp {
-                using VF = simd::VectorForm<F, R, As...>;
-                const auto locs = detail_ir::stripLocs<N>(srcs);
-                if constexpr (N == 2) {
-                    using A = std::tuple_element_t<0, std::tuple<As...>>;
-                    using B = std::tuple_element_t<1, std::tuple<As...>>;
-                    const StripLoc sa = locs[0];
-                    const StripLoc sb = locs[1];
-                    // When one operand is a hoisted point mass (and its
-                    // payload fits the StripLoc hint), broadcast it in a
-                    // register instead of streaming the splatted column
-                    // — same per-element arithmetic, one fewer load
-                    // stream.
-                    if constexpr (requires(simd::Isa isa,
-                                           const Store<A>* a, Store<B> b,
-                                           Store<R>* o, std::size_t n) {
-                                      VF::runConstB(isa, a, b, o, n);
-                                  }) {
-                        if (sb.isConst && !sa.isConst
-                            && sizeof(Store<B>)
-                                   <= StripLoc::kConstHintBytes) {
-                            const auto bc = detail_ir::fromBytes<B>(
-                                sb.constBytes.data());
-                            return [sa, dst, bc](BatchWorkspace& ws,
-                                                 std::size_t base,
-                                                 std::size_t n,
-                                                 unsigned char* scratch) {
-                                const auto* a = detail_ir::stripSrc<A>(
-                                    ws, sa, base, scratch);
-                                auto* out = detail_ir::stripDst<R>(
-                                    ws, dst, base, scratch);
-                                VF::runConstB(simd::activeIsa(), a, bc,
-                                              out, n);
-                            };
-                        }
-                    }
-                    if constexpr (requires(simd::Isa isa, Store<A> a,
-                                           const Store<B>* b, Store<R>* o,
-                                           std::size_t n) {
-                                      VF::runConstA(isa, a, b, o, n);
-                                  }) {
-                        if (sa.isConst && !sb.isConst
-                            && sizeof(Store<A>)
-                                   <= StripLoc::kConstHintBytes) {
-                            const auto ac = detail_ir::fromBytes<A>(
-                                sa.constBytes.data());
-                            return [sb, dst, ac](BatchWorkspace& ws,
-                                                 std::size_t base,
-                                                 std::size_t n,
-                                                 unsigned char* scratch) {
-                                const auto* b = detail_ir::stripSrc<B>(
-                                    ws, sb, base, scratch);
-                                auto* out = detail_ir::stripDst<R>(
-                                    ws, dst, base, scratch);
-                                VF::runConstA(simd::activeIsa(), ac, b,
-                                              out, n);
-                            };
-                        }
-                    }
-                }
-                return [locs, dst](BatchWorkspace& ws, std::size_t base,
-                                   std::size_t n, unsigned char* scratch) {
-                    [&]<std::size_t... I>(std::index_sequence<I...>) {
-                        VF::run(simd::activeIsa(),
-                                detail_ir::stripSrc<As>(ws, locs[I], base,
-                                                        scratch)...,
-                                detail_ir::stripDst<R>(ws, dst, base,
-                                                       scratch),
-                                n);
-                    }(Indices{});
-                };
-            };
-        }
-        if constexpr (jit::OpFor<F, R, As...>::available) {
-            info.jitable = true;
-            info.jitOp = jit::OpFor<F, R, As...>::op;
-        }
+        info.nativeOp = simd::nativeOp<F, R, As...>;
     }
     return info;
+}
+
+/**
+ * The SIMD strip micro-op of a step whose native op is @p op: resolves
+ * each operand to its strip register or column and calls
+ * simd::elementwise. A hoisted point-mass operand (StripLoc::isConst)
+ * also hands over its value, which the f64 arithmetic kernels
+ * broadcast from a register instead of streaming the splatted column.
+ * @p elemBytes holds each source's element size, then the
+ * destination's.
+ */
+inline StripOp
+simdStripOp(simd::Op op, const std::vector<StripLoc>& srcs,
+            const StripLoc& dst, std::vector<std::size_t> elemBytes)
+{
+    return [op, srcs, dst, elemBytes = std::move(elemBytes)](
+               BatchWorkspace& ws, std::size_t base, std::size_t n,
+               unsigned char* scratch) {
+        auto at = [&](const StripLoc& loc, std::size_t bytes) {
+            return loc.inRegister
+                       ? scratch + loc.regOffset
+                       : ws.rawColumn(loc.column) + base * bytes;
+        };
+        std::array<simd::Src, 3> args{};
+        for (std::size_t k = 0; k < srcs.size(); ++k) {
+            args[k].column = at(srcs[k], elemBytes[k]);
+            if (srcs[k].isConst)
+                args[k].splat = srcs[k].constBytes.data();
+        }
+        simd::elementwise(simd::activeIsa(), op, args.data(),
+                          at(dst, elemBytes.back()), n);
+    };
 }
 
 } // namespace batch
@@ -793,7 +725,7 @@ struct PlanStats
      *  SIMD, or Simd was forced). */
     bool simdStrips = false;
     /** ISA the kernels dispatched to at build time ("avx2", or
-     *  "scalar" for the scalar emulation). */
+     *  "scalar" for the scalar rung). */
     const char* isa = "scalar";
     /** Doubles per vector register on that ISA (1 when scalar). */
     std::size_t laneWidth = 1;
@@ -1055,7 +987,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
     // Backend resolution happens once, here: Auto asks the dispatch
     // layer whether AVX2 is usable on this machine; Simd always
     // compiles the kernel-layer strips (without AVX2 they run the
-    // scalar emulation, so this is safe everywhere); Scalar always
+    // kernels' scalar rung, so this is safe everywhere); Scalar always
     // compiles the interpreter strips. Outputs are bit-identical
     // either way — the choice is purely about speed. Under Auto the
     // JIT resolves per fused group below: each group the fragment
@@ -1130,7 +1062,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                     s.operands.clear();
                     s.fold = nullptr;
                     s.makeStrip = nullptr;
-                    s.makeStripSimd = nullptr;
+                    s.nativeOp.reset();
                     s.cseSafe = true;
                     ++stats_.constantsFolded;
                 }
@@ -1282,20 +1214,31 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
         return loc;
     };
 
+    // The SIMD micro-op of native step s over the given locations.
+    auto simdStrip = [&](const StepInfo& s,
+                         const std::vector<batch::StripLoc>& srcs,
+                         const batch::StripLoc& dst) {
+        std::vector<std::size_t> elemBytes;
+        for (const auto o : s.operands)
+            elemBytes.push_back(metas[o].elemSize);
+        elemBytes.push_back(metas[s.out].elemSize);
+        return batch::simdStripOp(*s.nativeOp, srcs, dst,
+                                  std::move(elemBytes));
+    };
+
     auto emitPlain = [&](std::size_t k) {
         StepExec e;
         auto& s = mainSteps[k];
-        if (wantSimd && s.kind == StepKind::Elementwise
-            && s.makeStripSimd != nullptr) {
-            // Unfused vectorizable step: run its vector micro-op over
-            // the whole column as a single strip (no scratch needed —
+        if (wantSimd && s.kind == StepKind::Elementwise && s.nativeOp) {
+            // Unfused native step: run its SIMD micro-op over the
+            // whole column as a single strip (no scratch needed —
             // both ends are columns).
             std::vector<batch::StripLoc> srcs;
             srcs.reserve(s.operands.size());
             for (const auto o : s.operands)
                 srcs.push_back(columnLoc(o));
             const batch::StripLoc dst{false, s.out, 0};
-            batch::StripOp op = s.makeStripSimd(srcs, dst);
+            batch::StripOp op = simdStrip(s, srcs, dst);
             e.run = [op = std::move(op), ctrStrips,
                      ctrSimdStrips](BatchWorkspace& ws) {
                 op(ws, 0, ws.length(), nullptr);
@@ -1333,14 +1276,15 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
         StepExec e;
         // JIT accumulation: translate each step's strip locations into
         // the fragment compiler's operand vocabulary while the
-        // fallback micro-ops are built. One non-jitable step refuses
+        // fallback micro-ops are built. One step without a native op
+        // (or one the emitter refuses, such as an int32 row) refuses
         // the whole group — a fragment replaces the per-step dispatch
         // loop entirely or not at all.
         bool groupJitable = wantJit;
         std::vector<jit::GroupStep> jitSteps;
         std::vector<std::size_t> tableCols; //!< slot -> logical column
         std::unordered_map<std::size_t, std::uint32_t> slotOf;
-        auto jitOperand = [&](const batch::StripLoc& loc) {
+        auto fragmentOperand = [&](const batch::StripLoc& loc) {
             jit::Operand o;
             if (loc.inRegister) {
                 o.kind = jit::Operand::Kind::Scratch;
@@ -1404,9 +1348,8 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                 regOffsetOf[s.out] = offset;
                 dst = {true, 0, offset};
             }
-            const bool useSimd =
-                wantSimd && s.makeStripSimd != nullptr;
-            ops.push_back(useSimd ? s.makeStripSimd(srcs, dst)
+            const bool useSimd = wantSimd && s.nativeOp.has_value();
+            ops.push_back(useSimd ? simdStrip(s, srcs, dst)
                                   : s.makeStrip(srcs, dst));
             if (useSimd) {
                 groupHasSimd = true;
@@ -1415,16 +1358,16 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                 ++stats_.scalarStripOps;
             }
             if (groupJitable) {
-                if (!s.jitable || s.operands.size() > 3) {
+                if (!s.nativeOp) {
                     groupJitable = false;
                 } else {
                     jit::GroupStep js;
-                    js.op = s.jitOp;
+                    js.op = *s.nativeOp;
                     js.arity =
                         static_cast<std::uint8_t>(s.operands.size());
                     for (std::size_t i = 0; i < s.operands.size(); ++i)
-                        js.src[i] = jitOperand(srcs[i]);
-                    js.dst = jitOperand(dst);
+                        js.src[i] = fragmentOperand(srcs[i]);
+                    js.dst = fragmentOperand(dst);
                     jitSteps.push_back(js);
                 }
             }

@@ -109,8 +109,9 @@ sigOf(Op op, OpSig& out)
         case Op::SelectF64:
             out = {F, {B, F, F}, 3};
             return true;
+        default: // the int32 rows: the SIMD strips run them
+            return false;
     }
-    return false;
 }
 
 /** Broadcast-lane bit pattern of a constant operand. Bool constants
@@ -560,6 +561,8 @@ class GroupEmitter
             case Op::SelectF64:
                 // c ? x : y; blend picks src2 where the mask is set
                 a_.vblendvpd(d, r[2], r[1], r[0]);
+                return;
+            default: // sigOf refused every other op before emission
                 return;
         }
     }

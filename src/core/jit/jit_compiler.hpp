@@ -23,10 +23,9 @@
  * The cache is mutex-guarded and bounded.
  *
  * compileGroup() refuses — returning a null fragment — rather than
- * guess: unsupported op (anything outside the f64/i64/bool strip
- * vocabulary below, e.g. the int32 kernels), no AVX2 (including a
- * -DUNCERTAIN_SIMD=OFF build), register pressure beyond the
- * allocator, too many distinct columns, or executable memory
+ * guess: unsupported op (an int32 row of the native-op table), no
+ * AVX2 (including a -DUNCERTAIN_SIMD=OFF build), register pressure
+ * beyond the allocator, too many distinct columns, or executable memory
  * unavailable. The caller falls back to the SIMD/scalar strips; the
  * interpreter remains the always-available oracle.
  */
@@ -41,38 +40,18 @@
 #include <vector>
 
 #include "core/jit/jit_buffer.hpp"
+#include "core/simd_kernels.hpp"
 
 namespace uncertain {
 namespace jit {
 
 /**
- * Ops the emitter knows how to lower. One enumerator per (functor,
- * signature) pair of the strip IR; the signature is implied by the
- * name (F64 arithmetic, F64 ordered compares producing bool, I64
- * add/sub, logical ops over bools, f64 select).
+ * The strip IR's op vocabulary: the native-op table shared with the
+ * SIMD kernels (UNCERTAIN_NATIVE_OPS in core/simd_kernels.hpp). The
+ * emitter lowers the f64, i64 and bool rows and refuses the int32
+ * rows.
  */
-enum class Op : std::uint8_t
-{
-    AddF64,
-    SubF64,
-    MulF64,
-    DivF64,
-    MinF64, //!< (y < x) ? y : x — compare+blend, std::min semantics
-    MaxF64, //!< (x < y) ? y : x — compare+blend, std::max semantics
-    NegF64, //!< sign-bit xor: bit-exact for NaN and +-0
-    LtF64,
-    GtF64,
-    LeF64,
-    GeF64,
-    EqF64,
-    NeF64, //!< the only predicate true on NaN (unordered)
-    AddI64,
-    SubI64,
-    AndBool,
-    OrBool,
-    NotBool,
-    SelectF64, //!< (cond, x, y) -> cond ? x : y
-};
+using Op = simd::Op;
 
 /** Where one fragment operand lives. */
 struct Operand

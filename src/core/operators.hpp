@@ -87,8 +87,8 @@ liftTernary(F f, const Uncertain<A>& a, const Uncertain<B>& b,
 
 // The lifted functors are the *named* types in core/ops.hpp rather
 // than per-macro lambdas: the batch plan recognizes a step's operator
-// by type (std::type_index) and maps it to a vector kernel via
-// simd::VectorForm. The arithmetic is identical to the old lambdas.
+// by type (std::type_index) and looks it up in the native-op table
+// (simd::nativeOp) to run it through the SIMD kernels or the JIT.
 
 #define UNCERTAIN_DEFINE_BINARY_OP(symbol, label, functor)                 \
     template <typename A, typename B>                                     \

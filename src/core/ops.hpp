@@ -2,22 +2,28 @@
  * @file
  * Named elementwise operator functors.
  *
- * The lifted operators (core/operators.hpp) and functions
- * (core/functions.hpp) historically captured their semantics in
- * anonymous lambdas. Each lambda expression has a unique closure
- * type, which was fine for the CSE pass (it keys on std::type_index)
- * but makes the operator unrecognizable to anything else — in
- * particular the SIMD execution backend (core/simd.hpp), which maps
- * an operator *type* to a vector kernel at plan-build time.
+ * Every lifted operator (core/operators.hpp) and function
+ * (core/functions.hpp) applies one of these functors, and every
+ * engine applies the same functor: the tree walk per sample, the
+ * batch plan's interpreter strips and constant folds, and the
+ * kernel layer's scalar rung (core/simd_kernels.cpp) through
+ * applyLoop below. A lambda expression has a unique closure type;
+ * a named functor is recognizable by type, which is what lets the
+ * plan look an operator up in the native-op table
+ * (UNCERTAIN_NATIVE_OPS in core/simd_kernels.hpp, expanded to
+ * simd::nativeOp in core/simd.hpp) and run it through the SIMD
+ * kernels or the JIT. Unknown functors keep the scalar strip loop.
  *
- * These functors are drop-in replacements: empty types (so
- * StepInfo::cseSafe stays true via std::is_empty_v), generic call
- * operators with SFINAE-friendly trailing return types (so the
- * lifted operators keep working over arbitrary base types, not just
- * arithmetic ones), and exactly the same per-element arithmetic as
- * the lambdas they replace. simd::VectorForm specializes on them to
- * attach lane-parallel kernels; unknown functors simply keep the
- * scalar strip loop.
+ * The functors are empty types (so StepInfo::cseSafe holds via
+ * std::is_empty_v) with generic call operators and SFINAE-friendly
+ * trailing return types, so the lifted operators work over
+ * arbitrary base types, not just arithmetic ones.
+ *
+ * Add, Sub, Mul and Neg wrap modulo 2^width when the result is a
+ * signed integer: the arithmetic runs in the unsigned type of the
+ * same width, which is what the vector instructions and the JIT
+ * compute. Signed overflow in the plain operators would be UB.
+ * Integer Div is the plain operator.
  *
  * Min/Max deliberately spell out the std::min/std::max selection
  * ((y < x) ? y : x) rather than delegating, so the vector kernels
@@ -28,11 +34,34 @@
 #ifndef UNCERTAIN_CORE_OPS_HPP
 #define UNCERTAIN_CORE_OPS_HPP
 
-#include <utility>
+#include <cstddef>
+#include <type_traits>
 
 namespace uncertain {
 namespace core {
 namespace ops {
+
+/** out[i] = op(srcs[i]...) for i in [0, n): the elementwise loop of
+ *  the interpreter strips and the kernel layer's scalar rung. */
+template <typename F, typename Out, typename... Srcs>
+void
+applyLoop(const F& op, Out* out, std::size_t n, const Srcs*... srcs)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<Out>(op(srcs[i]...));
+}
+
+namespace detail {
+
+/** Does an arithmetic result of type R wrap through its unsigned
+ *  type? (Operands narrower than int promote, so R is int or wider.) */
+template <typename R>
+inline constexpr bool kWraps = std::is_integral_v<R> && std::is_signed_v<R>;
+
+template <typename R>
+using Unsigned = std::make_unsigned_t<R>;
+
+} // namespace detail
 
 // ---- arithmetic ------------------------------------------------------
 
@@ -42,7 +71,13 @@ struct Add
     constexpr auto
     operator()(const X& x, const Y& y) const -> decltype(x + y)
     {
-        return x + y;
+        using R = decltype(x + y);
+        if constexpr (detail::kWraps<R>) {
+            using U = detail::Unsigned<R>;
+            return static_cast<R>(static_cast<U>(x) + static_cast<U>(y));
+        } else {
+            return x + y;
+        }
     }
 };
 
@@ -52,7 +87,13 @@ struct Sub
     constexpr auto
     operator()(const X& x, const Y& y) const -> decltype(x - y)
     {
-        return x - y;
+        using R = decltype(x - y);
+        if constexpr (detail::kWraps<R>) {
+            using U = detail::Unsigned<R>;
+            return static_cast<R>(static_cast<U>(x) - static_cast<U>(y));
+        } else {
+            return x - y;
+        }
     }
 };
 
@@ -62,7 +103,13 @@ struct Mul
     constexpr auto
     operator()(const X& x, const Y& y) const -> decltype(x * y)
     {
-        return x * y;
+        using R = decltype(x * y);
+        if constexpr (detail::kWraps<R>) {
+            using U = detail::Unsigned<R>;
+            return static_cast<R>(static_cast<U>(x) * static_cast<U>(y));
+        } else {
+            return x * y;
+        }
     }
 };
 
@@ -82,7 +129,13 @@ struct Neg
     constexpr auto
     operator()(const X& x) const -> decltype(-x)
     {
-        return -x;
+        using R = decltype(-x);
+        if constexpr (detail::kWraps<R>) {
+            using U = detail::Unsigned<R>;
+            return static_cast<R>(U{} - static_cast<U>(x));
+        } else {
+            return -x;
+        }
     }
 };
 

@@ -1,27 +1,32 @@
 /**
  * @file
- * SIMD kernel implementations and runtime CPU-feature dispatch.
+ * The kernel layer's implementations and runtime CPU-feature dispatch.
  *
- * Layout: one portable scalar-emulation function per kernel (the
- * reference semantics, and the body every other path must match
- * bit-for-bit), plus an AVX2 specialization guarded by
+ * Layout: elementwise() dispatches once per call on the Op, expanding
+ * the native-op table (UNCERTAIN_NATIVE_OPS) into one case per row.
+ * Each row runs its AVX2 rung over whole packs, when the call asks
+ * for AVX2 and the CPU has it, then the scalar rung — the core::ops
+ * functor loop — over the rest. The AVX2 bodies are guarded by
  * function-level target attributes so the translation unit itself
- * stays baseline-encodable — the AVX2 bodies are only ever entered
- * after __builtin_cpu_supports("avx2") says the instructions exist.
- * Every other target (a pre-AVX2 x86-64 CPU, aarch64, a
- * -DUNCERTAIN_SIMD=OFF build) runs the scalar emulation.
+ * stays baseline-encodable: they are only ever entered after
+ * __builtin_cpu_supports("avx2") says the instructions exist. Every
+ * other target (a pre-AVX2 x86-64 CPU, aarch64, a
+ * -DUNCERTAIN_SIMD=OFF build) runs the scalar rung alone.
  *
  * This TU is compiled with -ffp-contract=off (see src/core/
- * CMakeLists.txt): neither the emulation loops nor the tails may
- * fuse mul+add into FMA, because the explicit vector code uses
- * separate mul and add instructions and the two must round
- * identically.
+ * CMakeLists.txt): neither the scalar loops nor the tails may fuse
+ * mul+add into FMA, because the explicit vector code uses separate
+ * mul and add instructions and the two must round identically.
  */
 
 #include "core/simd_kernels.hpp"
 
 #include <cstring>
+#include <tuple>
 #include <type_traits>
+#include <utility>
+
+#include "core/ops.hpp"
 
 #if !defined(UNCERTAIN_SIMD_DISABLED) && defined(__GNUC__) \
     && (defined(__x86_64__) || defined(__i386__) || defined(_M_X64))
@@ -54,275 +59,25 @@ runsAvx2(Isa isa)
     return isa == Isa::Avx2 && activeIsa() == Isa::Avx2;
 }
 
+/** Column element type of base type T: bool columns hold 0/1 bytes. */
+template <typename T>
+using Elem = std::conditional_t<std::is_same_v<T, bool>, std::uint8_t, T>;
+
 // =====================================================================
-// Scalar emulation: the reference semantics for every kernel.
+// Scalar rung: the reference semantics for every kernel.
 // =====================================================================
 
-// Integer add/sub/mul wrap modulo 2^width, which is what the vector
-// instructions compute. Signed overflow is UB in C++, so the scalar
-// bodies (and the vector paths' tails) do the arithmetic unsigned.
-template <typename S>
-inline S
-wrapAdd(S a, S b)
-{
-    using U = std::make_unsigned_t<S>;
-    return static_cast<S>(static_cast<U>(a) + static_cast<U>(b));
-}
-
-template <typename S>
-inline S
-wrapSub(S a, S b)
-{
-    using U = std::make_unsigned_t<S>;
-    return static_cast<S>(static_cast<U>(a) - static_cast<U>(b));
-}
-
-template <typename S>
-inline S
-wrapMul(S a, S b)
-{
-    using U = std::make_unsigned_t<S>;
-    return static_cast<S>(static_cast<U>(a) * static_cast<U>(b));
-}
-
+/** Elements [from, n) of row (F, R, As...): the core::ops functor
+ *  loop, over the same columns the interpreter strips read. */
+template <typename F, typename R, typename... As>
 void
-binaryF64Scalar(BinF64 op, const double* a, const double* b,
-                double* out, std::size_t n)
+functorLoop(const Src* srcs, void* out, std::size_t from, std::size_t n)
 {
-    switch (op) {
-    case BinF64::Add:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] + b[i];
-        break;
-    case BinF64::Sub:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] - b[i];
-        break;
-    case BinF64::Mul:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] * b[i];
-        break;
-    case BinF64::Div:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] / b[i];
-        break;
-    case BinF64::Min: // ops::Min: (y < x) ? y : x
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = (b[i] < a[i]) ? b[i] : a[i];
-        break;
-    case BinF64::Max: // ops::Max: (x < y) ? y : x
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = (a[i] < b[i]) ? b[i] : a[i];
-        break;
-    }
-}
-
-void
-binaryF64ConstBScalar(BinF64 op, const double* a, double b,
-                      double* out, std::size_t n)
-{
-    switch (op) {
-    case BinF64::Add:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] + b;
-        break;
-    case BinF64::Sub:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] - b;
-        break;
-    case BinF64::Mul:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] * b;
-        break;
-    case BinF64::Div:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] / b;
-        break;
-    case BinF64::Min:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = (b < a[i]) ? b : a[i];
-        break;
-    case BinF64::Max:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = (a[i] < b) ? b : a[i];
-        break;
-    }
-}
-
-void
-binaryF64ConstAScalar(BinF64 op, double a, const double* b,
-                      double* out, std::size_t n)
-{
-    switch (op) {
-    case BinF64::Add:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a + b[i];
-        break;
-    case BinF64::Sub:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a - b[i];
-        break;
-    case BinF64::Mul:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a * b[i];
-        break;
-    case BinF64::Div:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a / b[i];
-        break;
-    case BinF64::Min:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = (b[i] < a) ? b[i] : a;
-        break;
-    case BinF64::Max:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = (a < b[i]) ? b[i] : a;
-        break;
-    }
-}
-
-void
-compareF64Scalar(Cmp op, const double* a, const double* b,
-                 std::uint8_t* out, std::size_t n)
-{
-    switch (op) {
-    case Cmp::Lt:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] < b[i] ? 1 : 0;
-        break;
-    case Cmp::Gt:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] > b[i] ? 1 : 0;
-        break;
-    case Cmp::Le:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] <= b[i] ? 1 : 0;
-        break;
-    case Cmp::Ge:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] >= b[i] ? 1 : 0;
-        break;
-    case Cmp::Eq:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] == b[i] ? 1 : 0;
-        break;
-    case Cmp::Ne:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] != b[i] ? 1 : 0;
-        break;
-    }
-}
-
-void
-binaryI32Scalar(BinI32 op, const std::int32_t* a, const std::int32_t* b,
-                std::int32_t* out, std::size_t n)
-{
-    switch (op) {
-    case BinI32::Add:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = wrapAdd(a[i], b[i]);
-        break;
-    case BinI32::Sub:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = wrapSub(a[i], b[i]);
-        break;
-    case BinI32::Mul:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = wrapMul(a[i], b[i]);
-        break;
-    case BinI32::Min:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = (b[i] < a[i]) ? b[i] : a[i];
-        break;
-    case BinI32::Max:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = (a[i] < b[i]) ? b[i] : a[i];
-        break;
-    }
-}
-
-void
-compareI32Scalar(Cmp op, const std::int32_t* a, const std::int32_t* b,
-                 std::uint8_t* out, std::size_t n)
-{
-    switch (op) {
-    case Cmp::Lt:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] < b[i] ? 1 : 0;
-        break;
-    case Cmp::Gt:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] > b[i] ? 1 : 0;
-        break;
-    case Cmp::Le:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] <= b[i] ? 1 : 0;
-        break;
-    case Cmp::Ge:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] >= b[i] ? 1 : 0;
-        break;
-    case Cmp::Eq:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] == b[i] ? 1 : 0;
-        break;
-    case Cmp::Ne:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] != b[i] ? 1 : 0;
-        break;
-    }
-}
-
-void
-binaryI64Scalar(BinI64 op, const std::int64_t* a, const std::int64_t* b,
-                std::int64_t* out, std::size_t n)
-{
-    switch (op) {
-    case BinI64::Add:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = wrapAdd(a[i], b[i]);
-        break;
-    case BinI64::Sub:
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = wrapSub(a[i], b[i]);
-        break;
-    }
-}
-
-void
-boolBinaryScalar(BoolOp op, const std::uint8_t* a, const std::uint8_t* b,
-                 std::uint8_t* out, std::size_t n)
-{
-    // Columns hold 0/1 bytes, so & and | coincide with && and ||.
-    if (op == BoolOp::And) {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] & b[i];
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = a[i] | b[i];
-    }
-}
-
-void
-boolNotScalar(const std::uint8_t* a, std::uint8_t* out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = a[i] == 0 ? 1 : 0;
-}
-
-void
-negF64Scalar(const double* a, double* out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = -a[i];
-}
-
-void
-selectF64Scalar(const std::uint8_t* c, const double* x, const double* y,
-                double* out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = c[i] ? x[i] : y[i];
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        core::ops::applyLoop(
+            F{}, static_cast<Elem<R>*>(out) + from, n - from,
+            (static_cast<const Elem<As>*>(srcs[I].column) + from)...);
+    }(std::index_sequence_for<As...>{});
 }
 
 /** Scalar ziggurat accept over words [i0, n), appending rejects. */
@@ -350,9 +105,11 @@ zigguratAcceptScalar(const std::uint64_t* words, std::size_t i0,
 }
 
 // =====================================================================
-// AVX2: 4-lane double / u64 packs, gathers. Entered only after
-// runtime detection; the target attribute keeps the rest of the TU
-// baseline-encodable.
+// AVX2: 4-lane double / u64 packs, 8-lane int32 packs, 32-lane bytes,
+// gathers. Entered only after runtime detection; the target attribute
+// keeps the rest of the TU baseline-encodable. Each kernel covers the
+// longest whole-pack prefix of the strip and returns its length; the
+// scalar rung runs the tail.
 // =====================================================================
 
 #if defined(UNCERTAIN_SIMD_X86)
@@ -361,33 +118,54 @@ zigguratAcceptScalar(const std::uint64_t* words, std::size_t i0,
 // gets its own tight loop via a template parameter. A `switch (op)`
 // inside the vector loop measured ~3.5x slower on the mul strip —
 // GCC cannot loop-unswitch across intrinsics, so the per-iteration
-// dispatch survives into the hot loop. (The scalar emulation kernels
-// above hoist the switch by hand for the same reason.)
+// dispatch survives into the hot loop.
 
-/** One 4-lane pack of a BinF64 op (shared by the column and
- *  broadcast-constant loops below). */
-template <BinF64 Op>
+/** One 4-lane pack of a binary f64 op. */
+template <Op O>
 UNCERTAIN_TARGET_AVX2 inline __m256d
-binF64PackAvx2(__m256d va, __m256d vb)
+f64Op(__m256d va, __m256d vb)
 {
-    if constexpr (Op == BinF64::Add)
+    if constexpr (O == Op::AddF64)
         return _mm256_add_pd(va, vb);
-    else if constexpr (Op == BinF64::Sub)
+    else if constexpr (O == Op::SubF64)
         return _mm256_sub_pd(va, vb);
-    else if constexpr (Op == BinF64::Mul)
+    else if constexpr (O == Op::MulF64)
         return _mm256_mul_pd(va, vb);
-    else if constexpr (Op == BinF64::Div)
+    else if constexpr (O == Op::DivF64)
         return _mm256_div_pd(va, vb);
-    else if constexpr (Op == BinF64::Min)
+    else if constexpr (O == Op::MinF64)
         // (b < a) ? b : a — compare+blend, NOT minpd (whose NaN
         // and -0.0 conventions differ from the scalar ternary).
         return _mm256_blendv_pd(va, vb,
                                 _mm256_cmp_pd(vb, va, _CMP_LT_OQ));
     else {
-        static_assert(Op == BinF64::Max);
+        static_assert(O == Op::MaxF64);
         return _mm256_blendv_pd(va, vb,
                                 _mm256_cmp_pd(va, vb, _CMP_LT_OQ));
     }
+}
+
+/** Which operand of a binary f64 kernel is broadcast from a register
+ *  instead of streamed from its column. */
+enum class Splat : std::uint8_t { None, A, B };
+
+template <Splat S, Splat Side>
+UNCERTAIN_TARGET_AVX2 inline __m256d
+f64Load(const double* col, __m256d vc, std::size_t i)
+{
+    if constexpr (S == Side)
+        return vc;
+    else
+        return _mm256_loadu_pd(col + i);
+}
+
+template <Op O, Splat S>
+UNCERTAIN_TARGET_AVX2 inline void
+f64Pack(const double* a, const double* b, __m256d vc, double* out,
+        std::size_t i)
+{
+    _mm256_storeu_pd(out + i, f64Op<O>(f64Load<S, Splat::A>(a, vc, i),
+                                       f64Load<S, Splat::B>(b, vc, i)));
 }
 
 // The f64 loops are unrolled 4x (16 elements per iteration): at one
@@ -395,375 +173,273 @@ binF64PackAvx2(__m256d va, __m256d vb)
 // work, and on a 4-wide core that caps throughput at ~1 cycle per
 // pack; unrolling measured ~1.3-1.7x on the 256-element strips the
 // fused kernels issue.
-template <BinF64 Op>
-UNCERTAIN_TARGET_AVX2 void
-binaryF64Avx2Loop(const double* a, const double* b, double* out,
-                  std::size_t n4)
-{
-    std::size_t i = 0;
-    for (; i + 16 <= n4; i += 16) {
-        _mm256_storeu_pd(out + i,
-                         binF64PackAvx2<Op>(_mm256_loadu_pd(a + i),
-                                            _mm256_loadu_pd(b + i)));
-        _mm256_storeu_pd(
-            out + i + 4, binF64PackAvx2<Op>(_mm256_loadu_pd(a + i + 4),
-                                            _mm256_loadu_pd(b + i + 4)));
-        _mm256_storeu_pd(
-            out + i + 8, binF64PackAvx2<Op>(_mm256_loadu_pd(a + i + 8),
-                                            _mm256_loadu_pd(b + i + 8)));
-        _mm256_storeu_pd(out + i + 12,
-                         binF64PackAvx2<Op>(
-                             _mm256_loadu_pd(a + i + 12),
-                             _mm256_loadu_pd(b + i + 12)));
-    }
-    for (; i < n4; i += 4)
-        _mm256_storeu_pd(out + i,
-                         binF64PackAvx2<Op>(_mm256_loadu_pd(a + i),
-                                            _mm256_loadu_pd(b + i)));
-}
-
-UNCERTAIN_TARGET_AVX2 void
-binaryF64Avx2(BinF64 op, const double* a, const double* b, double* out,
+template <Op O, Splat S>
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+f64BinaryLoop(const double* a, const double* b, __m256d vc, double* out,
               std::size_t n)
 {
     const std::size_t n4 = n & ~std::size_t{3};
-    switch (op) {
-    case BinF64::Add: binaryF64Avx2Loop<BinF64::Add>(a, b, out, n4); break;
-    case BinF64::Sub: binaryF64Avx2Loop<BinF64::Sub>(a, b, out, n4); break;
-    case BinF64::Mul: binaryF64Avx2Loop<BinF64::Mul>(a, b, out, n4); break;
-    case BinF64::Div: binaryF64Avx2Loop<BinF64::Div>(a, b, out, n4); break;
-    case BinF64::Min: binaryF64Avx2Loop<BinF64::Min>(a, b, out, n4); break;
-    case BinF64::Max: binaryF64Avx2Loop<BinF64::Max>(a, b, out, n4); break;
-    }
-    if (n4 < n)
-        binaryF64Scalar(op, a + n4, b + n4, out + n4, n - n4);
-}
-
-/** Pack helper with the constant on the side ConstOnB selects. */
-template <BinF64 Op, bool ConstOnB>
-UNCERTAIN_TARGET_AVX2 inline __m256d
-binF64ConstPackAvx2(__m256d vcol, __m256d vc)
-{
-    if constexpr (ConstOnB)
-        return binF64PackAvx2<Op>(vcol, vc);
-    else
-        return binF64PackAvx2<Op>(vc, vcol);
-}
-
-template <BinF64 Op, bool ConstOnB>
-UNCERTAIN_TARGET_AVX2 void
-binaryF64ConstAvx2Loop(const double* col, double c, double* out,
-                       std::size_t n4)
-{
-    const __m256d vc = _mm256_set1_pd(c);
     std::size_t i = 0;
     for (; i + 16 <= n4; i += 16) {
-        _mm256_storeu_pd(out + i,
-                         binF64ConstPackAvx2<Op, ConstOnB>(
-                             _mm256_loadu_pd(col + i), vc));
-        _mm256_storeu_pd(out + i + 4,
-                         binF64ConstPackAvx2<Op, ConstOnB>(
-                             _mm256_loadu_pd(col + i + 4), vc));
-        _mm256_storeu_pd(out + i + 8,
-                         binF64ConstPackAvx2<Op, ConstOnB>(
-                             _mm256_loadu_pd(col + i + 8), vc));
-        _mm256_storeu_pd(out + i + 12,
-                         binF64ConstPackAvx2<Op, ConstOnB>(
-                             _mm256_loadu_pd(col + i + 12), vc));
+        f64Pack<O, S>(a, b, vc, out, i);
+        f64Pack<O, S>(a, b, vc, out, i + 4);
+        f64Pack<O, S>(a, b, vc, out, i + 8);
+        f64Pack<O, S>(a, b, vc, out, i + 12);
     }
     for (; i < n4; i += 4)
-        _mm256_storeu_pd(out + i,
-                         binF64ConstPackAvx2<Op, ConstOnB>(
-                             _mm256_loadu_pd(col + i), vc));
+        f64Pack<O, S>(a, b, vc, out, i);
+    return n4;
 }
 
-template <bool ConstOnB>
-UNCERTAIN_TARGET_AVX2 void
-binaryF64ConstAvx2(BinF64 op, const double* col, double c, double* out,
-                   std::size_t n)
+/** A splat operand is held in a register: the same arithmetic per
+ *  element, one fewer load stream. */
+template <Op O>
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+f64Binary(const Src* s, double* out, std::size_t n)
 {
+    const auto* a = static_cast<const double*>(s[0].column);
+    const auto* b = static_cast<const double*>(s[1].column);
+    double c = 0.0;
+    if (s[1].splat != nullptr) {
+        std::memcpy(&c, s[1].splat, sizeof c);
+        return f64BinaryLoop<O, Splat::B>(a, b, _mm256_set1_pd(c), out,
+                                          n);
+    }
+    if (s[0].splat != nullptr) {
+        std::memcpy(&c, s[0].splat, sizeof c);
+        return f64BinaryLoop<O, Splat::A>(a, b, _mm256_set1_pd(c), out,
+                                          n);
+    }
+    return f64BinaryLoop<O, Splat::None>(a, b, _mm256_setzero_pd(), out,
+                                         n);
+}
+
+/** Ordered predicates (false on NaN) except Ne, which is unordered. */
+template <Op O>
+constexpr int kF64Predicate = O == Op::LtF64   ? _CMP_LT_OQ
+                              : O == Op::GtF64 ? _CMP_GT_OQ
+                              : O == Op::LeF64 ? _CMP_LE_OQ
+                              : O == Op::GeF64 ? _CMP_GE_OQ
+                              : O == Op::EqF64 ? _CMP_EQ_OQ
+                                               : _CMP_NEQ_UQ;
+
+template <Op O>
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+f64Compare(const Src* s, std::uint8_t* out, std::size_t n)
+{
+    const auto* a = static_cast<const double*>(s[0].column);
+    const auto* b = static_cast<const double*>(s[1].column);
     const std::size_t n4 = n & ~std::size_t{3};
-    switch (op) {
-    case BinF64::Add:
-        binaryF64ConstAvx2Loop<BinF64::Add, ConstOnB>(col, c, out, n4);
-        break;
-    case BinF64::Sub:
-        binaryF64ConstAvx2Loop<BinF64::Sub, ConstOnB>(col, c, out, n4);
-        break;
-    case BinF64::Mul:
-        binaryF64ConstAvx2Loop<BinF64::Mul, ConstOnB>(col, c, out, n4);
-        break;
-    case BinF64::Div:
-        binaryF64ConstAvx2Loop<BinF64::Div, ConstOnB>(col, c, out, n4);
-        break;
-    case BinF64::Min:
-        binaryF64ConstAvx2Loop<BinF64::Min, ConstOnB>(col, c, out, n4);
-        break;
-    case BinF64::Max:
-        binaryF64ConstAvx2Loop<BinF64::Max, ConstOnB>(col, c, out, n4);
-        break;
-    }
-    if (n4 < n) {
-        if constexpr (ConstOnB)
-            binaryF64ConstBScalar(op, col + n4, c, out + n4, n - n4);
-        else
-            binaryF64ConstAScalar(op, c, col + n4, out + n4, n - n4);
-    }
-}
-
-template <Cmp Op>
-UNCERTAIN_TARGET_AVX2 void
-compareF64Avx2Loop(const double* a, const double* b, std::uint8_t* out,
-                   std::size_t n4)
-{
     for (std::size_t i = 0; i < n4; i += 4) {
-        const __m256d va = _mm256_loadu_pd(a + i);
-        const __m256d vb = _mm256_loadu_pd(b + i);
-        __m256d m;
-        if constexpr (Op == Cmp::Lt)
-            m = _mm256_cmp_pd(va, vb, _CMP_LT_OQ);
-        else if constexpr (Op == Cmp::Gt)
-            m = _mm256_cmp_pd(va, vb, _CMP_GT_OQ);
-        else if constexpr (Op == Cmp::Le)
-            m = _mm256_cmp_pd(va, vb, _CMP_LE_OQ);
-        else if constexpr (Op == Cmp::Ge)
-            m = _mm256_cmp_pd(va, vb, _CMP_GE_OQ);
-        else if constexpr (Op == Cmp::Eq)
-            m = _mm256_cmp_pd(va, vb, _CMP_EQ_OQ);
-        else {
-            static_assert(Op == Cmp::Ne);
-            m = _mm256_cmp_pd(va, vb, _CMP_NEQ_UQ);
-        }
-        const int bits = _mm256_movemask_pd(m);
+        const int bits = _mm256_movemask_pd(_mm256_cmp_pd(
+            _mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
+            kF64Predicate<O>));
         out[i] = static_cast<std::uint8_t>(bits & 1);
         out[i + 1] = static_cast<std::uint8_t>((bits >> 1) & 1);
         out[i + 2] = static_cast<std::uint8_t>((bits >> 2) & 1);
         out[i + 3] = static_cast<std::uint8_t>((bits >> 3) & 1);
     }
+    return n4;
 }
 
-UNCERTAIN_TARGET_AVX2 void
-compareF64Avx2(Cmp op, const double* a, const double* b,
-               std::uint8_t* out, std::size_t n)
+UNCERTAIN_TARGET_AVX2 inline __m256i
+loadI256(const void* p)
 {
-    const std::size_t n4 = n & ~std::size_t{3};
-    switch (op) {
-    case Cmp::Lt: compareF64Avx2Loop<Cmp::Lt>(a, b, out, n4); break;
-    case Cmp::Gt: compareF64Avx2Loop<Cmp::Gt>(a, b, out, n4); break;
-    case Cmp::Le: compareF64Avx2Loop<Cmp::Le>(a, b, out, n4); break;
-    case Cmp::Ge: compareF64Avx2Loop<Cmp::Ge>(a, b, out, n4); break;
-    case Cmp::Eq: compareF64Avx2Loop<Cmp::Eq>(a, b, out, n4); break;
-    case Cmp::Ne: compareF64Avx2Loop<Cmp::Ne>(a, b, out, n4); break;
-    }
-    if (n4 < n)
-        compareF64Scalar(op, a + n4, b + n4, out + n4, n - n4);
+    return _mm256_loadu_si256(static_cast<const __m256i*>(p));
 }
 
-template <BinI32 Op>
-UNCERTAIN_TARGET_AVX2 void
-binaryI32Avx2Loop(const std::int32_t* a, const std::int32_t* b,
-                  std::int32_t* out, std::size_t n8)
+UNCERTAIN_TARGET_AVX2 inline void
+storeI256(void* p, __m256i v)
 {
+    _mm256_storeu_si256(static_cast<__m256i*>(p), v);
+}
+
+template <Op O>
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+i32Binary(const Src* s, std::int32_t* out, std::size_t n)
+{
+    const auto* a = static_cast<const std::int32_t*>(s[0].column);
+    const auto* b = static_cast<const std::int32_t*>(s[1].column);
+    const std::size_t n8 = n & ~std::size_t{7};
     for (std::size_t i = 0; i < n8; i += 8) {
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+        const __m256i va = loadI256(a + i);
+        const __m256i vb = loadI256(b + i);
         __m256i r;
-        if constexpr (Op == BinI32::Add)
+        if constexpr (O == Op::AddI32)
             r = _mm256_add_epi32(va, vb);
-        else if constexpr (Op == BinI32::Sub)
+        else if constexpr (O == Op::SubI32)
             r = _mm256_sub_epi32(va, vb);
-        else if constexpr (Op == BinI32::Mul)
+        else if constexpr (O == Op::MulI32)
             r = _mm256_mullo_epi32(va, vb);
-        else if constexpr (Op == BinI32::Min)
+        else if constexpr (O == Op::MinI32)
             r = _mm256_min_epi32(va, vb);
         else {
-            static_assert(Op == BinI32::Max);
+            static_assert(O == Op::MaxI32);
             r = _mm256_max_epi32(va, vb);
         }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
+        storeI256(out + i, r);
     }
+    return n8;
 }
 
-UNCERTAIN_TARGET_AVX2 void
-binaryI32Avx2(BinI32 op, const std::int32_t* a, const std::int32_t* b,
-              std::int32_t* out, std::size_t n)
+/** One bit per int32 lane of a compare mask. */
+UNCERTAIN_TARGET_AVX2 inline int
+laneBits(__m256i m)
 {
+    return _mm256_movemask_ps(_mm256_castsi256_ps(m));
+}
+
+template <Op O>
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+i32Compare(const Src* s, std::uint8_t* out, std::size_t n)
+{
+    const auto* a = static_cast<const std::int32_t*>(s[0].column);
+    const auto* b = static_cast<const std::int32_t*>(s[1].column);
     const std::size_t n8 = n & ~std::size_t{7};
-    switch (op) {
-    case BinI32::Add: binaryI32Avx2Loop<BinI32::Add>(a, b, out, n8); break;
-    case BinI32::Sub: binaryI32Avx2Loop<BinI32::Sub>(a, b, out, n8); break;
-    case BinI32::Mul: binaryI32Avx2Loop<BinI32::Mul>(a, b, out, n8); break;
-    case BinI32::Min: binaryI32Avx2Loop<BinI32::Min>(a, b, out, n8); break;
-    case BinI32::Max: binaryI32Avx2Loop<BinI32::Max>(a, b, out, n8); break;
-    }
-    if (n8 < n)
-        binaryI32Scalar(op, a + n8, b + n8, out + n8, n - n8);
-}
-
-template <Cmp Op>
-UNCERTAIN_TARGET_AVX2 void
-compareI32Avx2Loop(const std::int32_t* a, const std::int32_t* b,
-                   std::uint8_t* out, std::size_t n8)
-{
     for (std::size_t i = 0; i < n8; i += 8) {
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+        const __m256i va = loadI256(a + i);
+        const __m256i vb = loadI256(b + i);
         int bits;
-        if constexpr (Op == Cmp::Lt)
-            bits = _mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpgt_epi32(vb, va)));
-        else if constexpr (Op == Cmp::Gt)
-            bits = _mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpgt_epi32(va, vb)));
-        else if constexpr (Op == Cmp::Le)
-            bits = _mm256_movemask_ps(_mm256_castsi256_ps(
-                       _mm256_cmpgt_epi32(va, vb)))
-                   ^ 0xFF;
-        else if constexpr (Op == Cmp::Ge)
-            bits = _mm256_movemask_ps(_mm256_castsi256_ps(
-                       _mm256_cmpgt_epi32(vb, va)))
-                   ^ 0xFF;
-        else if constexpr (Op == Cmp::Eq)
-            bits = _mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpeq_epi32(va, vb)));
+        if constexpr (O == Op::LtI32)
+            bits = laneBits(_mm256_cmpgt_epi32(vb, va));
+        else if constexpr (O == Op::GtI32)
+            bits = laneBits(_mm256_cmpgt_epi32(va, vb));
+        else if constexpr (O == Op::LeI32)
+            bits = laneBits(_mm256_cmpgt_epi32(va, vb)) ^ 0xFF;
+        else if constexpr (O == Op::GeI32)
+            bits = laneBits(_mm256_cmpgt_epi32(vb, va)) ^ 0xFF;
+        else if constexpr (O == Op::EqI32)
+            bits = laneBits(_mm256_cmpeq_epi32(va, vb));
         else {
-            static_assert(Op == Cmp::Ne);
-            bits = _mm256_movemask_ps(_mm256_castsi256_ps(
-                       _mm256_cmpeq_epi32(va, vb)))
-                   ^ 0xFF;
+            static_assert(O == Op::NeI32);
+            bits = laneBits(_mm256_cmpeq_epi32(va, vb)) ^ 0xFF;
         }
         for (int j = 0; j < 8; ++j)
             out[i + static_cast<std::size_t>(j)] =
                 static_cast<std::uint8_t>((bits >> j) & 1);
     }
+    return n8;
 }
 
-UNCERTAIN_TARGET_AVX2 void
-compareI32Avx2(Cmp op, const std::int32_t* a, const std::int32_t* b,
-               std::uint8_t* out, std::size_t n)
+template <Op O>
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+i64Binary(const Src* s, std::int64_t* out, std::size_t n)
 {
-    const std::size_t n8 = n & ~std::size_t{7};
-    switch (op) {
-    case Cmp::Lt: compareI32Avx2Loop<Cmp::Lt>(a, b, out, n8); break;
-    case Cmp::Gt: compareI32Avx2Loop<Cmp::Gt>(a, b, out, n8); break;
-    case Cmp::Le: compareI32Avx2Loop<Cmp::Le>(a, b, out, n8); break;
-    case Cmp::Ge: compareI32Avx2Loop<Cmp::Ge>(a, b, out, n8); break;
-    case Cmp::Eq: compareI32Avx2Loop<Cmp::Eq>(a, b, out, n8); break;
-    case Cmp::Ne: compareI32Avx2Loop<Cmp::Ne>(a, b, out, n8); break;
-    }
-    if (n8 < n)
-        compareI32Scalar(op, a + n8, b + n8, out + n8, n - n8);
-}
-
-template <BinI64 Op>
-UNCERTAIN_TARGET_AVX2 void
-binaryI64Avx2Loop(const std::int64_t* a, const std::int64_t* b,
-                  std::int64_t* out, std::size_t n4)
-{
-    for (std::size_t i = 0; i < n4; i += 4) {
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        const __m256i r = Op == BinI64::Add ? _mm256_add_epi64(va, vb)
-                                            : _mm256_sub_epi64(va, vb);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
-    }
-}
-
-UNCERTAIN_TARGET_AVX2 void
-binaryI64Avx2(BinI64 op, const std::int64_t* a, const std::int64_t* b,
-              std::int64_t* out, std::size_t n)
-{
+    const auto* a = static_cast<const std::int64_t*>(s[0].column);
+    const auto* b = static_cast<const std::int64_t*>(s[1].column);
     const std::size_t n4 = n & ~std::size_t{3};
-    if (op == BinI64::Add)
-        binaryI64Avx2Loop<BinI64::Add>(a, b, out, n4);
-    else
-        binaryI64Avx2Loop<BinI64::Sub>(a, b, out, n4);
-    if (n4 < n)
-        binaryI64Scalar(op, a + n4, b + n4, out + n4, n - n4);
-}
-
-template <BoolOp Op>
-UNCERTAIN_TARGET_AVX2 void
-boolBinaryAvx2Loop(const std::uint8_t* a, const std::uint8_t* b,
-                   std::uint8_t* out, std::size_t n32)
-{
-    for (std::size_t i = 0; i < n32; i += 32) {
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        const __m256i r = Op == BoolOp::And ? _mm256_and_si256(va, vb)
-                                            : _mm256_or_si256(va, vb);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
+    for (std::size_t i = 0; i < n4; i += 4) {
+        const __m256i va = loadI256(a + i);
+        const __m256i vb = loadI256(b + i);
+        if constexpr (O == Op::AddI64) {
+            storeI256(out + i, _mm256_add_epi64(va, vb));
+        } else {
+            static_assert(O == Op::SubI64);
+            storeI256(out + i, _mm256_sub_epi64(va, vb));
+        }
     }
+    return n4;
 }
 
-UNCERTAIN_TARGET_AVX2 void
-boolBinaryAvx2(BoolOp op, const std::uint8_t* a, const std::uint8_t* b,
-               std::uint8_t* out, std::size_t n)
+/** And/Or over 0/1 bytes: the bitwise ops coincide with && and ||. */
+template <Op O>
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+boolBinary(const Src* s, std::uint8_t* out, std::size_t n)
 {
+    const auto* a = static_cast<const std::uint8_t*>(s[0].column);
+    const auto* b = static_cast<const std::uint8_t*>(s[1].column);
     const std::size_t n32 = n & ~std::size_t{31};
-    if (op == BoolOp::And)
-        boolBinaryAvx2Loop<BoolOp::And>(a, b, out, n32);
-    else
-        boolBinaryAvx2Loop<BoolOp::Or>(a, b, out, n32);
-    if (n32 < n)
-        boolBinaryScalar(op, a + n32, b + n32, out + n32, n - n32);
+    for (std::size_t i = 0; i < n32; i += 32) {
+        const __m256i va = loadI256(a + i);
+        const __m256i vb = loadI256(b + i);
+        if constexpr (O == Op::AndBool) {
+            storeI256(out + i, _mm256_and_si256(va, vb));
+        } else {
+            static_assert(O == Op::OrBool);
+            storeI256(out + i, _mm256_or_si256(va, vb));
+        }
+    }
+    return n32;
 }
 
-UNCERTAIN_TARGET_AVX2 void
-boolNotAvx2(const std::uint8_t* a, std::uint8_t* out, std::size_t n)
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+boolNot(const Src* s, std::uint8_t* out, std::size_t n)
 {
+    const auto* a = static_cast<const std::uint8_t*>(s[0].column);
     const __m256i zero = _mm256_setzero_si256();
     const __m256i one = _mm256_set1_epi8(1);
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i r =
-            _mm256_and_si256(_mm256_cmpeq_epi8(va, zero), one);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), r);
-    }
-    if (i < n)
-        boolNotScalar(a + i, out + i, n - i);
+    const std::size_t n32 = n & ~std::size_t{31};
+    for (std::size_t i = 0; i < n32; i += 32)
+        storeI256(out + i, _mm256_and_si256(
+                               _mm256_cmpeq_epi8(loadI256(a + i), zero),
+                               one));
+    return n32;
 }
 
-UNCERTAIN_TARGET_AVX2 void
-negF64Avx2(const double* a, double* out, std::size_t n)
+/** Sign-bit flip: bit-exact for NaN and +-0. */
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+negF64(const Src* s, double* out, std::size_t n)
 {
+    const auto* a = static_cast<const double*>(s[0].column);
     const __m256d sign = _mm256_set1_pd(-0.0);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
+    const std::size_t n4 = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < n4; i += 4)
         _mm256_storeu_pd(out + i,
                          _mm256_xor_pd(_mm256_loadu_pd(a + i), sign));
-    if (i < n)
-        negF64Scalar(a + i, out + i, n - i);
+    return n4;
 }
 
-UNCERTAIN_TARGET_AVX2 void
-selectF64Avx2(const std::uint8_t* c, const double* x, const double* y,
-              double* out, std::size_t n)
+UNCERTAIN_TARGET_AVX2 inline std::size_t
+selectF64(const Src* s, double* out, std::size_t n)
 {
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        std::int32_t cword;
+    const auto* c = static_cast<const std::uint8_t*>(s[0].column);
+    const auto* x = static_cast<const double*>(s[1].column);
+    const auto* y = static_cast<const double*>(s[2].column);
+    const std::size_t n4 = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < n4; i += 4) {
+        std::int32_t cword = 0;
         std::memcpy(&cword, c + i, 4);
         const __m256i cq =
             _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(cword));
         const __m256d mask = _mm256_castsi256_pd(
             _mm256_cmpgt_epi64(cq, _mm256_setzero_si256()));
-        const __m256d r = _mm256_blendv_pd(_mm256_loadu_pd(y + i),
-                                           _mm256_loadu_pd(x + i), mask);
-        _mm256_storeu_pd(out + i, r);
+        _mm256_storeu_pd(out + i,
+                         _mm256_blendv_pd(_mm256_loadu_pd(y + i),
+                                          _mm256_loadu_pd(x + i), mask));
     }
-    if (i < n)
-        selectF64Scalar(c + i, x + i, y + i, out + i, n - i);
+    return n4;
+}
+
+/** The AVX2 rung of row (O, R, As...): picks the kernel by the row's
+ *  signature and returns the length of the prefix it covered. */
+template <Op O, typename R, typename... As>
+UNCERTAIN_TARGET_AVX2 std::size_t
+avx2Prefix(const Src* s, void* out, std::size_t n)
+{
+    using Sig = std::tuple<R, As...>;
+    using I32 = std::int32_t;
+    using I64 = std::int64_t;
+    auto* o = static_cast<Elem<R>*>(out);
+    if constexpr (std::is_same_v<Sig, std::tuple<double, double, double>>)
+        return f64Binary<O>(s, o, n);
+    else if constexpr (std::is_same_v<Sig, std::tuple<bool, double, double>>)
+        return f64Compare<O>(s, o, n);
+    else if constexpr (std::is_same_v<Sig, std::tuple<I32, I32, I32>>)
+        return i32Binary<O>(s, o, n);
+    else if constexpr (std::is_same_v<Sig, std::tuple<bool, I32, I32>>)
+        return i32Compare<O>(s, o, n);
+    else if constexpr (std::is_same_v<Sig, std::tuple<I64, I64, I64>>)
+        return i64Binary<O>(s, o, n);
+    else if constexpr (std::is_same_v<Sig, std::tuple<bool, bool, bool>>)
+        return boolBinary<O>(s, o, n);
+    else if constexpr (O == Op::NotBool)
+        return boolNot(s, o, n);
+    else if constexpr (O == Op::NegF64)
+        return negF64(s, o, n);
+    else {
+        static_assert(O == Op::SelectF64);
+        return selectF64(s, o, n);
+    }
 }
 
 // ---- ziggurat fast-accept pass ---------------------------------------
@@ -834,6 +510,21 @@ zigguratAcceptAvx2(const std::uint64_t* words, std::size_t n,
 
 #endif // UNCERTAIN_SIMD_X86
 
+/** Row (O, F, R, As...) over n elements: the AVX2 rung's prefix, then
+ *  the scalar rung over the rest. */
+template <Op O, typename F, typename R, typename... As>
+void
+runRow(Isa isa, const Src* srcs, void* out, std::size_t n)
+{
+    std::size_t done = 0;
+#if defined(UNCERTAIN_SIMD_X86)
+    if (runsAvx2(isa))
+        done = avx2Prefix<O, R, As...>(srcs, out, n);
+#endif
+    (void)isa;
+    functorLoop<F, R, As...>(srcs, out, done, n);
+}
+
 } // namespace
 
 // =====================================================================
@@ -860,155 +551,16 @@ isaName(Isa isa)
 }
 
 void
-binaryF64(Isa isa, BinF64 op, const double* a, const double* b,
-          double* out, std::size_t n)
+elementwise(Isa isa, Op op, const Src* srcs, void* out, std::size_t n)
 {
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        binaryF64Avx2(op, a, b, out, n);
+    switch (op) {
+#define UNCERTAIN_OP_CASE(name, F, ...)                                  \
+    case Op::name:                                                       \
+        runRow<Op::name, core::ops::F, __VA_ARGS__>(isa, srcs, out, n);  \
         return;
+        UNCERTAIN_NATIVE_OPS(UNCERTAIN_OP_CASE)
+#undef UNCERTAIN_OP_CASE
     }
-#endif
-    (void)isa;
-    binaryF64Scalar(op, a, b, out, n);
-}
-
-void
-binaryF64ConstB(Isa isa, BinF64 op, const double* a, double b,
-                double* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        binaryF64ConstAvx2<true>(op, a, b, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    binaryF64ConstBScalar(op, a, b, out, n);
-}
-
-void
-binaryF64ConstA(Isa isa, BinF64 op, double a, const double* b,
-                double* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        binaryF64ConstAvx2<false>(op, b, a, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    binaryF64ConstAScalar(op, a, b, out, n);
-}
-
-void
-compareF64(Isa isa, Cmp op, const double* a, const double* b,
-           std::uint8_t* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        compareF64Avx2(op, a, b, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    compareF64Scalar(op, a, b, out, n);
-}
-
-void
-binaryI32(Isa isa, BinI32 op, const std::int32_t* a,
-          const std::int32_t* b, std::int32_t* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        binaryI32Avx2(op, a, b, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    binaryI32Scalar(op, a, b, out, n);
-}
-
-void
-compareI32(Isa isa, Cmp op, const std::int32_t* a, const std::int32_t* b,
-           std::uint8_t* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        compareI32Avx2(op, a, b, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    compareI32Scalar(op, a, b, out, n);
-}
-
-void
-binaryI64(Isa isa, BinI64 op, const std::int64_t* a,
-          const std::int64_t* b, std::int64_t* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        binaryI64Avx2(op, a, b, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    binaryI64Scalar(op, a, b, out, n);
-}
-
-void
-boolBinary(Isa isa, BoolOp op, const std::uint8_t* a,
-           const std::uint8_t* b, std::uint8_t* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        boolBinaryAvx2(op, a, b, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    boolBinaryScalar(op, a, b, out, n);
-}
-
-void
-boolNot(Isa isa, const std::uint8_t* a, std::uint8_t* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        boolNotAvx2(a, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    boolNotScalar(a, out, n);
-}
-
-void
-negF64(Isa isa, const double* a, double* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        negF64Avx2(a, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    negF64Scalar(a, out, n);
-}
-
-void
-selectF64(Isa isa, const std::uint8_t* c, const double* x,
-          const double* y, double* out, std::size_t n)
-{
-#if defined(UNCERTAIN_SIMD_X86)
-    if (runsAvx2(isa)) {
-        selectF64Avx2(c, x, y, out, n);
-        return;
-    }
-#endif
-    (void)isa;
-    selectF64Scalar(c, x, y, out, n);
 }
 
 std::size_t

@@ -1,30 +1,32 @@
 /**
  * @file
- * Declarations of the SIMD hot-path kernels and the runtime
- * CPU-feature dispatch behind them.
+ * The kernel layer: the native-op table, the elementwise kernels that
+ * run it, the ziggurat accept pass, and the runtime CPU-feature
+ * dispatch behind them.
  *
- * This header (and its .cpp) is the bottom of the SIMD layer: it has
- * NO dependencies on the rest of the library — random/ (the
- * ziggurat) calls down into it, and core/simd.hpp
- * builds the plan-facing trait layer on top of it. It is compiled
- * into its own CMake target (uncertain_simd) with -ffp-contract=off
- * so that no kernel, scalar-emulation or vector, ever fuses a
- * mul+add into an FMA: that is what makes the vector paths
+ * This header (and its .cpp) is the bottom of the SIMD layer: it
+ * links against nothing else in the library — random/ (the
+ * ziggurat) calls down into it, the plan (core/simd.hpp,
+ * core/batch_plan.hpp) and the JIT (core/jit/) build on it. Its only
+ * include from the library is the header-only core/ops.hpp, in the
+ * .cpp. It is compiled into its own CMake target (uncertain_simd)
+ * with -ffp-contract=off so that no kernel, scalar or vector, ever
+ * fuses a mul+add into an FMA: that is what makes the vector paths
  * bit-identical to the scalar interpreter (see docs/API.md
  * "Execution backends" for the fp contract).
  *
- * There are two tiers: AVX2, and the portable scalar emulation that
- * is the reference. Every kernel takes an explicit Isa and runs the
- * AVX2 body only if the binary carries it AND the running CPU
- * supports it; otherwise (a pre-AVX2 x86-64 CPU, aarch64 and every
- * other non-x86-64 target, a -DUNCERTAIN_SIMD=OFF build) it runs the
- * scalar emulation. Passing Isa::Avx2 is therefore always safe;
- * tests use explicit Isa values to check lane-width parity,
- * production callers pass activeIsa().
+ * There are two rungs: AVX2, and the scalar rung that is the
+ * reference. Every kernel takes an explicit Isa and runs the AVX2
+ * body only if the binary carries it AND the running CPU supports
+ * it; otherwise (a pre-AVX2 x86-64 CPU, aarch64 and every other
+ * non-x86-64 target, a -DUNCERTAIN_SIMD=OFF build) it runs the
+ * scalar rung. Passing Isa::Avx2 is therefore always safe; tests use
+ * explicit Isa values to check lane-width parity, production callers
+ * pass activeIsa().
  *
  * Element order is never changed and floating point is never
- * reassociated: a binary kernel computes out[i] = a[i] op b[i] with
- * one IEEE operation per element, exactly like the scalar loop, so
+ * reassociated: a kernel computes out[i] = op(a[i], b[i]) with one
+ * IEEE operation per element, exactly like the scalar loop, so
  * results are bit-identical across Isa values — including NaN
  * propagation and signed zeros (Min/Max are implemented as
  * compare+blend reproducing (y < x) ? y : x, not as vminpd, whose
@@ -43,7 +45,7 @@ namespace simd {
 /** Instruction sets the dispatcher knows about, weakest first. */
 enum class Isa : std::uint8_t
 {
-    Scalar = 0, //!< portable scalar emulation (always available)
+    Scalar = 0, //!< the portable scalar rung (always available)
     Avx2 = 1,   //!< 4 x double / 4 x u64 packs + gathers (x86-64)
 };
 
@@ -63,69 +65,83 @@ std::size_t laneWidth(Isa isa);
 /** Human-readable name ("scalar", "avx2"). */
 const char* isaName(Isa isa);
 
-// ---- fused elementwise strip kernels --------------------------------
-
-/** Binary double -> double micro-ops with a vector form. */
-enum class BinF64 : std::uint8_t { Add, Sub, Mul, Div, Min, Max };
-
-/** Comparison predicates (shared by the f64 and i32 kernels). */
-enum class Cmp : std::uint8_t { Lt, Gt, Le, Ge, Eq, Ne };
-
-/** Binary int32 -> int32 micro-ops with a vector form. */
-enum class BinI32 : std::uint8_t { Add, Sub, Mul, Min, Max };
-
-/** Binary int64 -> int64 micro-ops with a vector form. */
-enum class BinI64 : std::uint8_t { Add, Sub };
-
-/** Logical micro-ops over 0/1 bytes (Store<bool>). */
-enum class BoolOp : std::uint8_t { And, Or };
-
-void binaryF64(Isa isa, BinF64 op, const double* a, const double* b,
-               double* out, std::size_t n);
+// ---- the native-op table ---------------------------------------------
 
 /**
- * Broadcast-constant forms of binaryF64: one operand is the same
- * value for every element, so the kernel keeps it in a register
- * instead of streaming a splatted column from L1. Bit-identical to
- * binaryF64 over a column filled with that value (same per-element
- * arithmetic, one fewer load stream). The fusion pass emits these
- * when an operand is a hoisted point-mass column.
+ * Every (functor, signature) pair with a native lowering, one row
+ * each: X(Op name, core::ops functor, result type, operand types...).
+ * Types are base types; a bool column stores 0/1 bytes. This list is
+ * the one functor -> Op table. The Op enum below, the plan's lookup
+ * (simd::nativeOp in core/simd.hpp) and the kernels' scalar rung are
+ * all expanded from it. The SIMD kernels cover every row; the JIT
+ * emitter (core/jit/jit_compiler.cpp) refuses the int32 rows, which
+ * then run the SIMD strips.
  */
-void binaryF64ConstB(Isa isa, BinF64 op, const double* a, double b,
-                     double* out, std::size_t n);
-void binaryF64ConstA(Isa isa, BinF64 op, double a, const double* b,
-                     double* out, std::size_t n);
+#define UNCERTAIN_NATIVE_OPS(X)                                          \
+    X(AddF64, Add, double, double, double)                               \
+    X(SubF64, Sub, double, double, double)                               \
+    X(MulF64, Mul, double, double, double)                               \
+    X(DivF64, Div, double, double, double)                               \
+    X(MinF64, Min, double, double, double)                               \
+    X(MaxF64, Max, double, double, double)                               \
+    X(NegF64, Neg, double, double)                                       \
+    X(LtF64, Lt, bool, double, double)                                   \
+    X(GtF64, Gt, bool, double, double)                                   \
+    X(LeF64, Le, bool, double, double)                                   \
+    X(GeF64, Ge, bool, double, double)                                   \
+    X(EqF64, Eq, bool, double, double)                                   \
+    X(NeF64, Ne, bool, double, double)                                   \
+    X(AddI64, Add, std::int64_t, std::int64_t, std::int64_t)             \
+    X(SubI64, Sub, std::int64_t, std::int64_t, std::int64_t)             \
+    X(AndBool, And, bool, bool, bool)                                    \
+    X(OrBool, Or, bool, bool, bool)                                      \
+    X(NotBool, Not, bool, bool)                                          \
+    X(SelectF64, Select, double, bool, double, double)                   \
+    X(AddI32, Add, std::int32_t, std::int32_t, std::int32_t)             \
+    X(SubI32, Sub, std::int32_t, std::int32_t, std::int32_t)             \
+    X(MulI32, Mul, std::int32_t, std::int32_t, std::int32_t)             \
+    X(MinI32, Min, std::int32_t, std::int32_t, std::int32_t)             \
+    X(MaxI32, Max, std::int32_t, std::int32_t, std::int32_t)             \
+    X(LtI32, Lt, bool, std::int32_t, std::int32_t)                       \
+    X(GtI32, Gt, bool, std::int32_t, std::int32_t)                       \
+    X(LeI32, Le, bool, std::int32_t, std::int32_t)                       \
+    X(GeI32, Ge, bool, std::int32_t, std::int32_t)                       \
+    X(EqI32, Eq, bool, std::int32_t, std::int32_t)                       \
+    X(NeI32, Ne, bool, std::int32_t, std::int32_t)
 
-/** out[i] = (a[i] cmp b[i]) as a 0/1 byte (IEEE ordered compares:
- *  every predicate except Ne is false on NaN operands, Ne true). */
-void compareF64(Isa isa, Cmp op, const double* a, const double* b,
-                std::uint8_t* out, std::size_t n);
+/** One enumerator per row of UNCERTAIN_NATIVE_OPS, in row order. */
+enum class Op : std::uint8_t
+{
+#define UNCERTAIN_OP_ENUMERATOR(name, ...) name,
+    UNCERTAIN_NATIVE_OPS(UNCERTAIN_OP_ENUMERATOR)
+#undef UNCERTAIN_OP_ENUMERATOR
+};
 
-void binaryI32(Isa isa, BinI32 op, const std::int32_t* a,
-               const std::int32_t* b, std::int32_t* out, std::size_t n);
+/** One source operand of an elementwise call. */
+struct Src
+{
+    /** n elements in the operand's column type; always valid. */
+    const void* column = nullptr;
+    /**
+     * When every element of the column holds one value: that value's
+     * bytes (no alignment required). A kernel may broadcast it from a
+     * register instead of streaming the column; the f64 arithmetic
+     * kernels do, with the same arithmetic per element.
+     */
+    const void* splat = nullptr;
+};
 
-void compareI32(Isa isa, Cmp op, const std::int32_t* a,
-                const std::int32_t* b, std::uint8_t* out,
-                std::size_t n);
-
-void binaryI64(Isa isa, BinI64 op, const std::int64_t* a,
-               const std::int64_t* b, std::int64_t* out, std::size_t n);
-
-/** out[i] = a[i] op b[i] over 0/1 bytes. */
-void boolBinary(Isa isa, BoolOp op, const std::uint8_t* a,
-                const std::uint8_t* b, std::uint8_t* out,
-                std::size_t n);
-
-/** out[i] = a[i] == 0 ? 1 : 0 (logical not over 0/1 bytes). */
-void boolNot(Isa isa, const std::uint8_t* a, std::uint8_t* out,
-             std::size_t n);
-
-/** out[i] = -a[i] (sign-bit flip; bit-exact for NaN and +-0). */
-void negF64(Isa isa, const double* a, double* out, std::size_t n);
-
-/** out[i] = c[i] ? x[i] : y[i] with c a 0/1 byte column. */
-void selectF64(Isa isa, const std::uint8_t* c, const double* x,
-               const double* y, double* out, std::size_t n);
+/**
+ * out[i] = op(srcs[0][i], ...) for i in [0, n), with as many srcs as
+ * the op's row has operands. The AVX2 rung runs whole packs where
+ * @p isa asks for it and the CPU has it; the scalar rung runs the
+ * rest, and everything elsewhere: the core::ops functor loop
+ * (ops::applyLoop), the loop the interpreter strips run. Both rungs
+ * give the same bits (Min/Max compare+blend, ordered compares,
+ * wrapping integer arithmetic, one IEEE operation per element).
+ */
+void elementwise(Isa isa, Op op, const Src* srcs, void* out,
+                 std::size_t n);
 
 // ---- ziggurat Gaussian fast-accept pass ------------------------------
 

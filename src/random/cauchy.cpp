@@ -11,6 +11,9 @@ namespace random {
 Cauchy::Cauchy(double location, double scale)
     : location_(location), scale_(scale)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(location),
+                      "Cauchy requires finite location");
+    UNCERTAIN_REQUIRE(std::isfinite(scale), "Cauchy requires finite scale");
     UNCERTAIN_REQUIRE(scale > 0.0, "Cauchy requires scale > 0");
 }
 

@@ -11,6 +11,8 @@ namespace random {
 
 Exponential::Exponential(double lambda) : lambda_(lambda)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(lambda),
+                      "Exponential requires finite lambda");
     UNCERTAIN_REQUIRE(lambda > 0.0, "Exponential requires lambda > 0");
 }
 

@@ -14,6 +14,8 @@ namespace random {
 
 Gamma::Gamma(double shape, double rate) : shape_(shape), rate_(rate)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(shape), "Gamma requires finite shape");
+    UNCERTAIN_REQUIRE(std::isfinite(rate), "Gamma requires finite rate");
     UNCERTAIN_REQUIRE(shape > 0.0, "Gamma requires shape > 0");
     UNCERTAIN_REQUIRE(rate > 0.0, "Gamma requires rate > 0");
 }

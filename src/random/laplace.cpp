@@ -10,6 +10,8 @@ namespace random {
 
 Laplace::Laplace(double mu, double b) : mu_(mu), b_(b)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(mu), "Laplace requires finite mu");
+    UNCERTAIN_REQUIRE(std::isfinite(b), "Laplace requires finite b");
     UNCERTAIN_REQUIRE(b > 0.0, "Laplace requires b > 0");
 }
 

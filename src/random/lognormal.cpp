@@ -13,6 +13,8 @@ namespace random {
 
 LogNormal::LogNormal(double mu, double sigma) : mu_(mu), sigma_(sigma)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(mu), "LogNormal requires finite mu");
+    UNCERTAIN_REQUIRE(std::isfinite(sigma), "LogNormal requires finite sigma");
     UNCERTAIN_REQUIRE(sigma > 0.0, "LogNormal requires sigma > 0");
 }
 

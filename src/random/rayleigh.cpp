@@ -11,6 +11,7 @@ namespace random {
 
 Rayleigh::Rayleigh(double rho) : rho_(rho)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(rho), "Rayleigh requires finite rho");
     UNCERTAIN_REQUIRE(rho > 0.0, "Rayleigh requires rho > 0");
 }
 

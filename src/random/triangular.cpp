@@ -12,6 +12,9 @@ namespace random {
 Triangular::Triangular(double lo, double mode, double hi)
     : lo_(lo), mode_(mode), hi_(hi)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(lo), "Triangular requires finite lo");
+    UNCERTAIN_REQUIRE(std::isfinite(mode), "Triangular requires finite mode");
+    UNCERTAIN_REQUIRE(std::isfinite(hi), "Triangular requires finite hi");
     UNCERTAIN_REQUIRE(lo <= mode && mode <= hi && lo < hi,
                       "Triangular requires lo <= mode <= hi, lo < hi");
 }

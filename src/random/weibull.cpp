@@ -13,6 +13,8 @@ namespace random {
 Weibull::Weibull(double shape, double scale)
     : shape_(shape), scale_(scale)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(shape), "Weibull requires finite shape");
+    UNCERTAIN_REQUIRE(std::isfinite(scale), "Weibull requires finite scale");
     UNCERTAIN_REQUIRE(shape > 0.0, "Weibull requires shape > 0");
     UNCERTAIN_REQUIRE(scale > 0.0, "Weibull requires scale > 0");
 }

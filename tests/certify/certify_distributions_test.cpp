@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,15 @@ struct ContinuousCase
     random::DistributionPtr (*make)();
     std::uint64_t seed;
 };
+
+// gtest_discover_tests puts the printed parameter into each ctest
+// name. Without this, gtest dumps the raw bytes of the struct, whose
+// first words are a string pointer and a function address.
+void
+PrintTo(const ContinuousCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
 
 random::DistributionPtr
 makeStandardGaussian()
@@ -144,6 +154,13 @@ struct DiscreteCase
     random::DistributionPtr (*make)();
     std::uint64_t seed;
 };
+
+/** Prints the case name; see PrintTo(const ContinuousCase&). */
+void
+PrintTo(const DiscreteCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
 
 random::DistributionPtr
 makeSmallBinomial()

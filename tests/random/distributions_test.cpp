@@ -18,6 +18,7 @@
 #include "random/bernoulli.hpp"
 #include "random/beta.hpp"
 #include "random/binomial.hpp"
+#include "random/cauchy.hpp"
 #include "random/chi_squared.hpp"
 #include "random/distribution.hpp"
 #include "random/exponential.hpp"
@@ -293,6 +294,76 @@ TEST(Uniform, RefusesNonFiniteWidth)
     expectRefusedBy([&] { (void)Uniform(1.0, 1.0); }, "lo < hi");
     Rng rng = testing::testRng(5);
     EXPECT_TRUE(std::isfinite(Uniform(-big / 2, big / 2).sample(rng)));
+}
+
+// One refusal per parameter and per non-finite value: each is refused
+// by name, before the range check that an infinite value passes.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST(Rayleigh, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)Rayleigh(kInf); }, "finite rho");
+    expectRefusedBy([] { (void)Rayleigh(kNan); }, "finite rho");
+    expectRefusedBy([] { (void)Rayleigh::fromHorizontalAccuracy(kInf); },
+                    "finite rho");
+}
+
+TEST(LogNormal, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)LogNormal(kNan, 1.0); }, "finite mu");
+    expectRefusedBy([] { (void)LogNormal(-kInf, 1.0); }, "finite mu");
+    expectRefusedBy([] { (void)LogNormal(0.0, kInf); }, "finite sigma");
+    expectRefusedBy([] { (void)LogNormal(0.0, kNan); }, "finite sigma");
+}
+
+TEST(Laplace, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)Laplace(kNan, 1.0); }, "finite mu");
+    expectRefusedBy([] { (void)Laplace(kInf, 1.0); }, "finite mu");
+    expectRefusedBy([] { (void)Laplace(0.0, kInf); }, "finite b");
+    expectRefusedBy([] { (void)Laplace(0.0, kNan); }, "finite b");
+}
+
+TEST(Cauchy, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)Cauchy(kNan, 1.0); }, "finite location");
+    expectRefusedBy([] { (void)Cauchy(-kInf, 1.0); }, "finite location");
+    expectRefusedBy([] { (void)Cauchy(0.0, kInf); }, "finite scale");
+    expectRefusedBy([] { (void)Cauchy(0.0, kNan); }, "finite scale");
+}
+
+TEST(Gamma, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)Gamma(kInf, 1.0); }, "finite shape");
+    expectRefusedBy([] { (void)Gamma(kNan, 1.0); }, "finite shape");
+    expectRefusedBy([] { (void)Gamma(2.0, kInf); }, "finite rate");
+    expectRefusedBy([] { (void)Gamma(2.0, kNan); }, "finite rate");
+}
+
+TEST(Triangular, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)Triangular(-kInf, 0.0, 1.0); }, "finite lo");
+    expectRefusedBy([] { (void)Triangular(kNan, 0.0, 1.0); }, "finite lo");
+    expectRefusedBy([] { (void)Triangular(-1.0, kNan, 1.0); },
+                    "finite mode");
+    expectRefusedBy([] { (void)Triangular(-1.0, 0.0, kInf); }, "finite hi");
+    expectRefusedBy([] { (void)Triangular(-1.0, 0.0, kNan); }, "finite hi");
+}
+
+TEST(Exponential, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)Exponential(kInf); }, "finite lambda");
+    expectRefusedBy([] { (void)Exponential(kNan); }, "finite lambda");
+}
+
+TEST(Weibull, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)Weibull(kInf, 1.0); }, "finite shape");
+    expectRefusedBy([] { (void)Weibull(kNan, 1.0); }, "finite shape");
+    expectRefusedBy([] { (void)Weibull(1.5, kInf); }, "finite scale");
+    expectRefusedBy([] { (void)Weibull(1.5, kNan); }, "finite scale");
 }
 
 } // namespace
