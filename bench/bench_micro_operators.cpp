@@ -13,11 +13,12 @@
  * the compiled columnar plan. Run once per engine and compare
  * items_per_second; the engine is recorded in the benchmark context.
  *
- * --optimizer {on,off} toggles the batch-plan optimizer passes (CSE,
- * constant folding, fusion, buffer reuse) for every batch sampler in
- * the run — CI runs both and scripts/bench_compare.py diffs the two
- * JSONs. --verbose prints the optimized-plan report for the
- * BM_TakeSamples graphs before the benchmarks run.
+ * --optimizer {on,off} sets PlanOptions::optimize, the one switch
+ * for the whole batch-plan optimizer (CSE, constant folding, fusion,
+ * buffer reuse), for every batch sampler in the run — CI runs both
+ * and scripts/bench_compare.py diffs the two JSONs. --verbose prints
+ * the optimized-plan report for the BM_TakeSamples graphs before the
+ * benchmarks run.
  *
  * --backend {auto,simd,scalar} selects the execution backend for
  * the batch plans: "scalar" is the honest baseline for SIMD
@@ -67,13 +68,9 @@ useBatchEngine()
 core::PlanOptions
 optimizerOptions()
 {
-    auto options = g_optimizer == "on" ? core::PlanOptions{}
-                                       : core::PlanOptions::disabled();
-    // The backend axis overrides disabled()'s scalar default: the two
-    // axes are independent (an unoptimized plan can still run its
-    // per-step strips through the vector kernels).
-    options.backend = g_backendEnum;
-    return options;
+    // The two axes are independent: an unoptimized plan can still run
+    // its groups of one through the vector kernels.
+    return {g_optimizer == "on", g_backendEnum};
 }
 
 core::BatchOptions

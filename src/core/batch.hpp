@@ -64,9 +64,9 @@ struct BatchOptions
     std::size_t blockSize = 8192;
 
     /**
-     * Optimizer pass toggles applied when compiling plans. All passes
-     * are on by default; disabling any (or all) of them never changes
-     * the samples, only the speed and the workspace footprint.
+     * How plans are compiled: the optimizer switch (on by default)
+     * and the strip backend. Neither changes the samples, only the
+     * speed and the workspace footprint.
      */
     PlanOptions optimizer{};
 };
@@ -192,17 +192,15 @@ class PlanCache
     static std::uint8_t
     packOptions(const PlanOptions& options)
     {
-        // The four pass toggles, then the backend in bits 4-5, so
+        // The optimizer switch, then the backend in bits 1-2, so
         // Auto/Simd/Scalar plans for the same root cache as distinct
         // entries (their strip lambdas differ even when the output is
         // bit-identical). Nothing else varies: what Auto resolves
         // against (simd::activeIsa(), jit::available()) is fixed for
         // the life of the process.
         return static_cast<std::uint8_t>(
-            (options.cse ? 1u : 0u) | (options.constantFolding ? 2u : 0u)
-            | (options.fuseElementwise ? 4u : 0u)
-            | (options.reuseBuffers ? 8u : 0u)
-            | (static_cast<unsigned>(options.backend) << 4));
+            (options.optimize ? 1u : 0u)
+            | (static_cast<unsigned>(options.backend) << 1));
     }
 
     mutable std::mutex mutex_;
@@ -292,7 +290,8 @@ class BatchSampler
     {
         UNCERTAIN_REQUIRE(n >= 1, "probability requires n >= 1");
         std::unique_ptr<bool[]> buffer(new bool[n]);
-        sampleInto(node, n, rng, buffer.get());
+        sampleIntoPlan(cache_->planFor(node, optimizer_), n, rng,
+                       buffer.get());
         evalStats().rootSamples += n;
         rng.advance();
         std::size_t hits = 0;
@@ -315,35 +314,6 @@ class BatchSampler
                                      threshold, options, rng);
     }
 
-    /**
-     * Fill out[0..n) with root draws via the cached plan; block b
-     * covers absolute indices [b*blockSize, ...). Does not advance
-     * @p base and does not touch evalStats.
-     */
-    template <typename T>
-    void
-    sampleInto(const NodePtr<T>& node, std::size_t n, const Rng& base,
-               T* out)
-    {
-        sampleIntoPlan(cache_->planFor(node, optimizer_), n, base,
-                       out);
-    }
-
-    /**
-     * Evidence fill for a window [offset, offset + count) of the
-     * index space: Bernoulli observations as bytes, blocks at
-     * absolute offsets so the stream sequence is deterministic for a
-     * given chunk schedule.
-     */
-    void
-    fillEvidence(const NodePtr<bool>& node, const Rng& base,
-                 std::size_t offset, std::size_t count,
-                 std::uint8_t* out)
-    {
-        fillEvidencePlan(cache_->planFor(node, optimizer_), base,
-                         offset, count, out);
-    }
-
     // ----- plan-direct entry points ---------------------------------
     // The node-keyed methods above resolve their plan through the
     // shared cache and forward here; callers that already hold a
@@ -353,7 +323,11 @@ class BatchSampler
     // to pay the lookup once per group instead of once per request.
     // Output is a pure function of (Rng snapshot, n, blockSize, plan).
 
-    /** sampleInto against an already-resolved plan. */
+    /**
+     * Fill out[0..n) with root draws of @p plan; block b covers
+     * absolute indices [b*blockSize, ...). Does not advance @p base
+     * and does not touch evalStats.
+     */
     template <typename T>
     void
     sampleIntoPlan(const std::shared_ptr<const BatchPlan>& plan,
@@ -431,7 +405,12 @@ class BatchSampler
         return total / static_cast<double>(n);
     }
 
-    /** fillEvidence against an already-resolved plan. */
+    /**
+     * Evidence fill for a window [offset, offset + count) of the
+     * index space: Bernoulli observations of @p plan as bytes, blocks
+     * at absolute offsets so the stream sequence is deterministic for
+     * a given chunk schedule.
+     */
     void
     fillEvidencePlan(const std::shared_ptr<const BatchPlan>& plan,
                      const Rng& base, std::size_t offset,

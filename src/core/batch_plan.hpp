@@ -39,13 +39,17 @@
  *                         shrinking the workspace from O(nodes) to
  *                         O(live width) columns.
  *
+ * Every elementwise step, fused or not, runs through the same strip
+ * executor: a group of one op is one pass over the whole block with
+ * columns at both ends, and a fused group walks the block in strips.
+ *
  * Equivalence contract: none of the passes reassociates floating
  * point or perturbs the leaf stream assignment (stream indices are
  * fixed during lowering, before any pass runs), so an optimized plan
  * is bit-identical to the unoptimized plan for the same (seed, n,
- * blockSize, graph). The pass toggles in PlanOptions exist for
- * debugging and for the equivalence suite, not because outputs
- * differ.
+ * blockSize, graph). PlanOptions::optimize = false, which runs none
+ * of the passes, exists as the reference the equivalence suite
+ * compares against, not because outputs differ.
  *
  * Stream discipline: a block whose first sample has absolute index s
  * derives a block generator `base.split(s)` from the caller's Rng
@@ -341,17 +345,18 @@ enum class StepKind : std::uint8_t
 };
 
 /**
- * The optimizer-facing description of one lowered step. The `run`
- * closure is the standalone full-block kernel (what executes when no
- * pass touches the step); the remaining fields describe it well
- * enough for the passes to merge, fold, or fuse it.
+ * The optimizer-facing description of one lowered step. A leaf or
+ * const step carries its full-block kernel in `run`; an elementwise
+ * step has no `run` and executes through `makeStrip` (or its native
+ * op) in the plan's strip executor. The remaining fields describe a
+ * step well enough for the passes to merge, fold, or fuse it.
  */
 struct StepInfo
 {
     StepKind kind = StepKind::Leaf;
     std::size_t out = kNoColumn;        //!< output logical column
     std::vector<std::size_t> operands;  //!< operand logical columns
-    BatchStep run;
+    BatchStep run;                      //!< leaf and const steps only
 
     /**
      * True when the functor's *type* fully determines its behaviour
@@ -374,8 +379,10 @@ struct StepInfo
     std::function<FoldedConst(const std::vector<const unsigned char*>&)>
         fold;
 
-    /** Build the strip micro-op for the fusion pass, given operand and
-     *  destination locations. Null when the step cannot be fused. */
+    /** Build the strip micro-op of an elementwise step, given operand
+     *  and destination locations. Set for every elementwise step; a
+     *  step over a type that is not registerable is only ever given
+     *  columns. */
     std::function<StripOp(const std::vector<StripLoc>&, const StripLoc&)>
         makeStrip;
 
@@ -457,16 +464,6 @@ splatStep(std::size_t col, Store<T> value)
     };
 }
 
-/** The first @p N operand locations of a strip micro-op. */
-template <std::size_t N>
-std::array<StripLoc, N>
-stripLocs(const std::vector<StripLoc>& srcs)
-{
-    std::array<StripLoc, N> locs;
-    std::copy_n(srcs.begin(), N, locs.begin());
-    return locs;
-}
-
 } // namespace detail_ir
 
 /** StepInfo for a point mass of type T splatted over column @p col. */
@@ -493,16 +490,16 @@ makeConstStep(std::size_t col, const T& value)
 /**
  * StepInfo for an elementwise op R = op(As...) into column @p col,
  * reading operand column operands[k] for argument k. One builder for
- * every arity: the full-block kernel, the fold and the scalar strip
- * are each written once over the pack, and the native op is looked
- * up in the one table.
+ * every arity: the scalar strip and the fold are each written once
+ * over the pack, and the native op is looked up in the one table.
+ * Every type gets the strip; the fold and the native op only
+ * registerable ones.
  */
 template <typename R, typename... As, typename F>
 StepInfo
 makeElementwiseStep(std::size_t col,
                     std::array<std::size_t, sizeof...(As)> operands, F op)
 {
-    constexpr std::size_t N = sizeof...(As);
     using Indices = std::index_sequence_for<As...>;
     using SR = Store<R>;
     StepInfo info;
@@ -512,12 +509,16 @@ makeElementwiseStep(std::size_t col,
     info.opType = std::type_index(typeid(F));
     info.outType = std::type_index(typeid(R));
     info.cseSafe = std::is_empty_v<F>;
-    info.run = [col, operands, op](BatchWorkspace& ws) {
-        [&]<std::size_t... I>(std::index_sequence<I...>) {
-            ops::applyLoop(
-                op, ws.template column<R>(col).data(), ws.length(),
-                ws.template column<As>(operands[I]).data()...);
-        }(Indices{});
+    info.makeStrip = [op](const std::vector<StripLoc>& srcs,
+                          const StripLoc& dst) -> StripOp {
+        return [srcs, dst, op](BatchWorkspace& ws, std::size_t base,
+                               std::size_t n, unsigned char* scratch) {
+            [&]<std::size_t... I>(std::index_sequence<I...>) {
+                ops::applyLoop(
+                    op, detail_ir::stripDst<R>(ws, dst, base, scratch), n,
+                    detail_ir::stripSrc<As>(ws, srcs[I], base, scratch)...);
+            }(Indices{});
+        };
     };
     if constexpr ((detail_ir::kRegisterable<R> && ...
                    && detail_ir::kRegisterable<As>)) {
@@ -532,20 +533,6 @@ makeElementwiseStep(std::size_t col,
             folded.bytes = detail_ir::objectBytes<R>(r);
             folded.splat = detail_ir::splatStep<R>(col, r);
             return folded;
-        };
-        info.makeStrip = [op](const std::vector<StripLoc>& srcs,
-                              const StripLoc& dst) -> StripOp {
-            const auto locs = detail_ir::stripLocs<N>(srcs);
-            return [locs, dst, op](BatchWorkspace& ws, std::size_t base,
-                                   std::size_t n, unsigned char* scratch) {
-                [&]<std::size_t... I>(std::index_sequence<I...>) {
-                    ops::applyLoop(
-                        op, detail_ir::stripDst<R>(ws, dst, base, scratch),
-                        n,
-                        detail_ir::stripSrc<As>(ws, locs[I], base,
-                                                scratch)...);
-                }(Indices{});
-            };
         };
         info.nativeOp = simd::nativeOp<F, R, As...>;
     }
@@ -661,20 +648,22 @@ class BatchBuilder
 };
 
 /**
- * Optimizer pass toggles. All passes are ON by default; each may be
- * disabled independently (the equivalence suite runs every
- * combination — outputs are bit-identical across all of them).
+ * How a plan is compiled. Outputs are bit-identical at every setting
+ * (the equivalence suite runs optimize off and on at every backend).
  */
 struct PlanOptions
 {
-    bool cse = true;             //!< structural common-subexpression merge
-    bool constantFolding = true; //!< fold + hoist constant subtrees
-    bool fuseElementwise = true; //!< strip-mined elementwise fusion
-    bool reuseBuffers = true;    //!< liveness-based column recycling
+    /**
+     * Run the optimizer: structural CSE, constant folding and
+     * hoisting, dead-step removal, elementwise fusion and buffer
+     * reuse. Off is the unoptimized reference: every step runs on
+     * its own over full columns, one physical column per logical one.
+     */
+    bool optimize = true;
 
     /**
-     * Execution backend for elementwise strips (orthogonal to the
-     * pass toggles; outputs are bit-identical either way). Auto
+     * Execution backend for elementwise strips (orthogonal to
+     * `optimize`; outputs are bit-identical either way). Auto
      * resolves at plan-build time: fused groups compile to native
      * fragments when jit::available() (a group the emitter refuses
      * falls back to the SIMD strips), vector strips when the CPU has
@@ -684,17 +673,12 @@ struct PlanOptions
      */
     simd::ExecBackend backend = simd::ExecBackend::Auto;
 
-    /** Everything off: the literal PR-2-style transcription. */
+    /** Optimizer off on the scalar strips: the literal
+     *  transcription every other configuration must reproduce. */
     static PlanOptions
     disabled()
     {
-        PlanOptions options;
-        options.cse = false;
-        options.constantFolding = false;
-        options.fuseElementwise = false;
-        options.reuseBuffers = false;
-        options.backend = simd::ExecBackend::Scalar;
-        return options;
+        return {false, simd::ExecBackend::Scalar};
     }
 };
 
@@ -797,15 +781,16 @@ struct PlanStats
 /**
  * Snapshot of a plan's lifetime execution counters: how many blocks
  * and steps have actually been dispatched, and how many strip passes
- * the fused kernels executed — split by backend so SIMD adoption is
- * observable without a profiler (surfaced through planReport).
+ * the elementwise groups executed (a group of one makes one pass per
+ * block) — split by backend so SIMD adoption is observable without a
+ * profiler (surfaced through planReport).
  * Counters aggregate over every workspace and thread using the plan.
  */
 struct PlanExecCounters
 {
     std::uint64_t blocksExecuted = 0;
     std::uint64_t stepsDispatched = 0;   //!< kernel invocations
-    std::uint64_t stripsExecuted = 0;    //!< strip passes (fused + plain)
+    std::uint64_t stripsExecuted = 0;    //!< strip passes
     std::uint64_t simdStripsExecuted = 0; //!< of which vector-backed
     std::uint64_t jitStripsExecuted = 0;  //!< of which native fragments
 };
@@ -979,10 +964,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
     for (const auto& meta : metas)
         stats_.bytesPerSampleLowered += meta.elemSize;
 
-    const bool cse = options.cse;
-    const bool fold = options.constantFolding;
-    const bool fuse = options.fuseElementwise;
-    const bool reuse = options.reuseBuffers;
+    const bool optimize = options.optimize;
 
     // Backend resolution happens once, here: Auto asks the dispatch
     // layer whether AVX2 is usable on this machine; Simd always
@@ -998,8 +980,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
         options.backend == simd::ExecBackend::Simd
         || (options.backend == simd::ExecBackend::Auto
             && simd::activeIsa() == simd::Isa::Avx2);
-    const bool wantJit = fuse
-                         && options.backend == simd::ExecBackend::Auto
+    const bool wantJit = options.backend == simd::ExecBackend::Auto
                          && jit::available();
     stats_.backendRequested = options.backend;
     stats_.simdStrips = wantSimd;
@@ -1031,14 +1012,14 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
     // or merge over.
     std::vector<StepInfo> kept;
     kept.reserve(steps.size());
-    if (cse || fold) {
+    if (optimize) {
         std::unordered_map<std::string, std::size_t> interned;
         std::unordered_map<std::size_t, std::vector<unsigned char>>
             constOf;
         for (auto& s : steps) {
             for (auto& o : s.operands)
                 o = canon(o);
-            if (fold && s.kind == StepKind::Elementwise && s.fold
+            if (s.kind == StepKind::Elementwise && s.fold
                 && !s.operands.empty()) {
                 bool allConst = true;
                 std::vector<const unsigned char*> vals;
@@ -1067,7 +1048,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                     ++stats_.constantsFolded;
                 }
             }
-            if (cse && s.cseSafe
+            if (s.cseSafe
                 && (s.kind == StepKind::Elementwise
                     || s.kind == StepKind::Const)) {
                 std::string key;
@@ -1112,7 +1093,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
     // folded op). Dropping a dead *leaf* is also safe bit-wise: every
     // leaf draws from its own split(streamIndex) stream assigned at
     // lowering, so removing one never shifts another's stream.
-    if (cse || fold) {
+    if (optimize) {
         std::unordered_set<std::size_t> needed{rootRep};
         std::vector<StepInfo> live;
         live.reserve(kept.size());
@@ -1138,14 +1119,14 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
     // they are not refilled per block.
     std::vector<char> constCol(metas.size(), 0);
     // Small const payloads ride along as StripLoc hints so the
-    // fusion pass can emit broadcast-constant micro-ops.
+    // strips can emit broadcast-constant micro-ops.
     std::vector<std::array<unsigned char, batch::StripLoc::kConstHintBytes>>
         constHint(metas.size());
     std::vector<char> constHintValid(metas.size(), 0);
     std::vector<StepInfo> mainSteps;
     mainSteps.reserve(kept.size());
     for (auto& s : kept) {
-        if (fold && s.kind == StepKind::Const) {
+        if (optimize && s.kind == StepKind::Const) {
             constCol[s.out] = 1;
             if (!s.constBytes.empty()
                 && s.constBytes.size()
@@ -1161,17 +1142,20 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
         }
     }
 
-    // ---- elementwise fusion -----------------------------------------
+    // ---- elementwise groups -----------------------------------------
     //
-    // Maximal runs of consecutive elementwise steps become one
-    // strip-mined kernel: the block is processed in strips of
+    // Every elementwise step runs in a group. Unoptimized, each group
+    // holds one op and runs it once over the whole block. Optimized,
+    // maximal runs of consecutive elementwise steps over registerable
+    // types become fused groups that process the block in strips of
     // kStripElems elements, each micro-op handling one strip before
     // the next op runs, so intermediate values are L1-hot. A value
-    // consumed only inside its run lives in a stack register and
-    // never touches its column at all. Per-element arithmetic and
-    // order are unchanged — fusion only reorders *which elements* are
-    // computed when, never what is computed — so results stay
-    // bit-identical.
+    // consumed only inside its group lives in a stack register and
+    // never touches its column at all. A step that touches a value
+    // whose type is not registerable is a group of one, so that value
+    // is always a column. Per-element arithmetic and order are
+    // unchanged — fusion only reorders *which elements* are computed
+    // when, never what is computed — so results stay bit-identical.
     std::vector<std::vector<std::size_t>> readers(metas.size());
     for (std::size_t k = 0; k < mainSteps.size(); ++k)
         for (const auto o : mainSteps[k].operands)
@@ -1185,14 +1169,16 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
         return (raw + batch::kStripAlign - 1)
                / batch::kStripAlign * batch::kStripAlign;
     };
-    auto consumedOutside = [&](std::size_t out, std::size_t begin,
-                               std::size_t end) {
+    // Whether the output of a step in [begin, end) may take a strip
+    // register: read by no step outside the range.
+    auto registerOnly = [&](std::size_t out, std::size_t begin,
+                            std::size_t end) {
         if (out == rootRep)
-            return true;
+            return false;
         for (const auto k : readers[out])
             if (k < begin || k >= end)
-                return true;
-        return false;
+                return false;
+        return true;
     };
 
     std::vector<StepExec> execs;
@@ -1226,42 +1212,8 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                                   std::move(elemBytes));
     };
 
-    auto emitPlain = [&](std::size_t k) {
-        StepExec e;
-        auto& s = mainSteps[k];
-        if (wantSimd && s.kind == StepKind::Elementwise && s.nativeOp) {
-            // Unfused native step: run its SIMD micro-op over the
-            // whole column as a single strip (no scratch needed —
-            // both ends are columns).
-            std::vector<batch::StripLoc> srcs;
-            srcs.reserve(s.operands.size());
-            for (const auto o : s.operands)
-                srcs.push_back(columnLoc(o));
-            const batch::StripLoc dst{false, s.out, 0};
-            batch::StripOp op = simdStrip(s, srcs, dst);
-            e.run = [op = std::move(op), ctrStrips,
-                     ctrSimdStrips](BatchWorkspace& ws) {
-                op(ws, 0, ws.length(), nullptr);
-                ctrStrips->fetch_add(1, std::memory_order_relaxed);
-                ctrSimdStrips->fetch_add(1, std::memory_order_relaxed);
-            };
-            ++stats_.simdStripOps;
-        } else {
-            if (s.kind == StepKind::Elementwise)
-                ++stats_.scalarStripOps;
-            e.run = std::move(s.run);
-        }
-        e.reads = s.operands;
-        e.writes = {s.out};
-        execs.push_back(std::move(e));
-    };
-
     auto emitGroup = [&](std::size_t a, std::size_t b) {
-        if (b - a < 2) {
-            for (std::size_t k = a; k < b; ++k)
-                emitPlain(k);
-            return;
-        }
+        const bool fused = b - a > 1;
         // Last in-group use per column, for register lifetime.
         std::unordered_map<std::size_t, std::size_t> lastUse;
         for (std::size_t k = a; k < b; ++k)
@@ -1276,11 +1228,11 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
         StepExec e;
         // JIT accumulation: translate each step's strip locations into
         // the fragment compiler's operand vocabulary while the
-        // fallback micro-ops are built. One step without a native op
-        // (or one the emitter refuses, such as an int32 row) refuses
-        // the whole group — a fragment replaces the per-step dispatch
+        // micro-ops are built. One step without a native op (or one
+        // the emitter refuses, such as an int32 row) refuses the
+        // whole group — a fragment replaces the per-step dispatch
         // loop entirely or not at all.
-        bool groupJitable = wantJit;
+        bool groupJitable = wantJit && fused;
         std::vector<jit::GroupStep> jitSteps;
         std::vector<std::size_t> tableCols; //!< slot -> logical column
         std::unordered_map<std::size_t, std::uint32_t> slotOf;
@@ -1330,11 +1282,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                 }
             }
             batch::StripLoc dst;
-            const bool external = consumedOutside(s.out, a, b);
-            if (external) {
-                dst = {false, s.out, 0};
-                e.writes.push_back(s.out);
-            } else {
+            if (fused && registerOnly(s.out, a, b)) {
                 const std::size_t size = regBytes(metas[s.out].elemSize);
                 auto& freeList = freeBySize[size];
                 std::size_t offset;
@@ -1347,6 +1295,9 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                 }
                 regOffsetOf[s.out] = offset;
                 dst = {true, 0, offset};
+            } else {
+                dst = {false, s.out, 0};
+                e.writes.push_back(s.out);
             }
             const bool useSimd = wantSimd && s.nativeOp.has_value();
             ops.push_back(useSimd ? simdStrip(s, srcs, dst)
@@ -1384,8 +1335,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
             };
             for (const auto o : s.operands)
                 release(o);
-            if (!external && lastUse.count(s.out) == 0)
-                release(s.out); // written, never read: dead store
+            release(s.out); // a register written but never read
         }
         UNCERTAIN_ASSERT(top <= batch::kFusedScratchBytes,
                          "fused group exceeds scratch budget");
@@ -1407,150 +1357,141 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                 stats_.jitCompileNanos += compiled.compileNanos;
             }
         }
-        if (frag != nullptr) {
-            // Native fast path: one call per full strip replaces the
-            // whole per-op dispatch loop. Partial tail strips (block
-            // length not a multiple of kStripElems) run the retained
-            // fallback micro-ops — same arithmetic, same bits.
-            e.run = [ops = std::move(ops), frag,
-                     tableCols = std::move(tableCols), ctrStrips,
-                     ctrSimdStrips, ctrJitStrips,
-                     groupHasSimd](BatchWorkspace& ws) {
-                unsigned char* cols[jit::kMaxColumnSlots];
+        // The one strip loop. A group of one op runs its micro-op once
+        // over the whole block; a fused group walks the block in
+        // kStripElems strips, each a single call of the native
+        // fragment when the group has one and the strip is full, and
+        // the micro-ops otherwise (partial tail strips, or no
+        // fragment) — same arithmetic, same bits.
+        const std::size_t width = fused ? batch::kStripElems : SIZE_MAX;
+        e.run = [ops = std::move(ops), frag,
+                 tableCols = std::move(tableCols), width, groupHasSimd,
+                 ctrStrips, ctrSimdStrips,
+                 ctrJitStrips](BatchWorkspace& ws) {
+            alignas(batch::kStripAlign)
+                unsigned char scratch[batch::kFusedScratchBytes];
+            unsigned char* cols[jit::kMaxColumnSlots];
+            if (frag != nullptr)
                 for (std::size_t i = 0; i < tableCols.size(); ++i)
                     cols[i] = ws.rawColumn(tableCols[i]);
-                const jit::Fragment::Fn fn = frag->fn();
-                const std::size_t len = ws.length();
-                std::size_t base = 0;
-                std::uint64_t strips = 0;
-                for (; base + batch::kStripElems <= len;
-                     base += batch::kStripElems) {
+            const jit::Fragment::Fn fn = frag ? frag->fn() : nullptr;
+            const std::size_t len = ws.length();
+            std::uint64_t strips = 0;
+            std::uint64_t jitStrips = 0;
+            for (std::size_t base = 0; base < len;) {
+                const std::size_t n = std::min(width, len - base);
+                if (fn != nullptr && n == batch::kStripElems) {
                     fn(cols, base);
-                    ++strips;
-                }
-                ctrJitStrips->fetch_add(strips,
-                                        std::memory_order_relaxed);
-                if (base < len) {
-                    alignas(batch::kStripAlign) unsigned char
-                        scratch[batch::kFusedScratchBytes];
-                    for (const auto& op : ops)
-                        op(ws, base, len - base, scratch);
-                    ++strips;
-                    if (groupHasSimd)
-                        ctrSimdStrips->fetch_add(
-                            1, std::memory_order_relaxed);
-                }
-                ctrStrips->fetch_add(strips, std::memory_order_relaxed);
-            };
-        } else {
-            e.run = [ops = std::move(ops), ctrStrips, ctrSimdStrips,
-                     groupHasSimd](BatchWorkspace& ws) {
-                alignas(batch::kStripAlign)
-                    unsigned char scratch[batch::kFusedScratchBytes];
-                const std::size_t len = ws.length();
-                std::uint64_t strips = 0;
-                for (std::size_t base = 0; base < len;
-                     base += batch::kStripElems) {
-                    const std::size_t n =
-                        std::min(batch::kStripElems, len - base);
+                    ++jitStrips;
+                } else {
                     for (const auto& op : ops)
                         op(ws, base, n, scratch);
-                    ++strips;
                 }
-                ctrStrips->fetch_add(strips, std::memory_order_relaxed);
-                if (groupHasSimd)
-                    ctrSimdStrips->fetch_add(strips,
-                                             std::memory_order_relaxed);
-            };
-        }
+                ++strips;
+                base += n;
+            }
+            ctrStrips->fetch_add(strips, std::memory_order_relaxed);
+            if (jitStrips > 0)
+                ctrJitStrips->fetch_add(jitStrips,
+                                        std::memory_order_relaxed);
+            if (groupHasSimd && strips > jitStrips)
+                ctrSimdStrips->fetch_add(strips - jitStrips,
+                                         std::memory_order_relaxed);
+        };
         execs.push_back(std::move(e));
-        ++stats_.fusedKernels;
-        stats_.fusedOps += b - a;
+        if (fused) {
+            ++stats_.fusedKernels;
+            stats_.fusedOps += b - a;
+        }
     };
 
-    if (fuse) {
-        // Partition each maximal fusable run into groups bounded by
-        // the scratch budget. The grouping simulation treats values
-        // consumed outside the *run* as columns; per-group allocation
-        // later treats values consumed outside the *group* as columns
-        // — a superset, so the real register pressure can only be
-        // lower than simulated and the budget holds.
-        std::size_t runStart = batch::kNoColumn;
-        auto flushRun = [&](std::size_t begin, std::size_t end) {
-            std::unordered_map<std::size_t, std::size_t> lastUseInRun;
-            for (std::size_t k = begin; k < end; ++k)
-                for (const auto o : mainSteps[k].operands)
-                    lastUseInRun[o] = k;
-            std::unordered_map<std::size_t, std::size_t> regSize;
-            std::size_t used = 0;
-            std::size_t groupStart = begin;
-            for (std::size_t k = begin; k < end; ++k) {
-                const std::size_t out = mainSteps[k].out;
-                const bool external = consumedOutside(out, begin, end);
-                std::size_t need =
-                    external ? 0 : regBytes(metas[out].elemSize);
-                if (used + need > batch::kFusedScratchBytes
-                    && k > groupStart) {
-                    emitGroup(groupStart, k);
-                    groupStart = k;
-                    regSize.clear();
-                    used = 0;
-                }
-                if (need > 0) {
-                    regSize[out] = need;
-                    used += need;
-                }
-                for (const auto o : mainSteps[k].operands) {
-                    auto it = regSize.find(o);
-                    auto lit = lastUseInRun.find(o);
-                    if (it != regSize.end() && lit != lastUseInRun.end()
-                        && lit->second <= k) {
-                        used -= it->second;
-                        regSize.erase(it);
-                    }
+    // Partition each maximal fusable run into groups bounded by the
+    // scratch budget. The grouping simulation treats values consumed
+    // outside the *run* as columns; per-group allocation later treats
+    // values consumed outside the *group* as columns — a superset, so
+    // the real register pressure can only be lower than simulated and
+    // the budget holds.
+    auto flushRun = [&](std::size_t begin, std::size_t end) {
+        std::unordered_map<std::size_t, std::size_t> lastUseInRun;
+        for (std::size_t k = begin; k < end; ++k)
+            for (const auto o : mainSteps[k].operands)
+                lastUseInRun[o] = k;
+        std::unordered_map<std::size_t, std::size_t> regSize;
+        std::size_t used = 0;
+        std::size_t groupStart = begin;
+        for (std::size_t k = begin; k < end; ++k) {
+            const std::size_t out = mainSteps[k].out;
+            const std::size_t need =
+                registerOnly(out, begin, end) ? regBytes(metas[out].elemSize)
+                                              : 0;
+            if (used + need > batch::kFusedScratchBytes
+                && k > groupStart) {
+                emitGroup(groupStart, k);
+                groupStart = k;
+                regSize.clear();
+                used = 0;
+            }
+            if (need > 0) {
+                regSize[out] = need;
+                used += need;
+            }
+            for (const auto o : mainSteps[k].operands) {
+                auto it = regSize.find(o);
+                auto lit = lastUseInRun.find(o);
+                if (it != regSize.end() && lit != lastUseInRun.end()
+                    && lit->second <= k) {
+                    used -= it->second;
+                    regSize.erase(it);
                 }
             }
-            emitGroup(groupStart, end);
-        };
-        for (std::size_t k = 0; k < mainSteps.size(); ++k) {
-            const bool fusable =
-                mainSteps[k].kind == StepKind::Elementwise
-                && mainSteps[k].makeStrip != nullptr;
-            if (fusable) {
-                if (runStart == batch::kNoColumn)
-                    runStart = k;
-                continue;
-            }
-            if (runStart != batch::kNoColumn) {
-                flushRun(runStart, k);
-                runStart = batch::kNoColumn;
-            }
-            emitPlain(k);
         }
-        if (runStart != batch::kNoColumn)
-            flushRun(runStart, mainSteps.size());
-    } else {
-        for (std::size_t k = 0; k < mainSteps.size(); ++k)
-            emitPlain(k);
+        emitGroup(groupStart, end);
+    };
+    auto fusable = [&](const StepInfo& s) {
+        if (!optimize || s.kind != StepKind::Elementwise
+            || !metas[s.out].registerable)
+            return false;
+        for (const auto o : s.operands)
+            if (!metas[o].registerable)
+                return false;
+        return true;
+    };
+    std::size_t runStart = batch::kNoColumn;
+    for (std::size_t k = 0; k < mainSteps.size(); ++k) {
+        if (fusable(mainSteps[k])) {
+            if (runStart == batch::kNoColumn)
+                runStart = k;
+            continue;
+        }
+        if (runStart != batch::kNoColumn) {
+            flushRun(runStart, k);
+            runStart = batch::kNoColumn;
+        }
+        auto& s = mainSteps[k];
+        if (s.kind == StepKind::Elementwise)
+            emitGroup(k, k + 1);
+        else // a leaf or const step runs its own full-block kernel
+            execs.push_back({std::move(s.run), {}, {s.out}});
     }
+    if (runStart != batch::kNoColumn)
+        flushRun(runStart, mainSteps.size());
 
     // ---- liveness-based slot assignment -----------------------------
     //
-    // Without reuse: one physical column per logical column (the
-    // PR-2 memory shape), aliases resolved through the slot map.
-    // With reuse: linear scan over the final step order; a column's
-    // slot returns to a per-type free pool after its last reading
-    // step, so the workspace holds O(live width) columns. Slots are
+    // Unoptimized: one physical column per logical column. Optimized:
+    // linear scan over the final step order; a column's slot returns
+    // to a per-type free pool after its last reading step, so the
+    // workspace holds O(live width) columns. Slots are
     // released only *after* the releasing step completes, so a step
     // never reads and writes the same physical slot through different
     // logical columns. Constant columns and the root are pinned.
     slots_.assign(metas.size(), batch::kNoColumn);
-    if (!reuse) {
+    if (!optimize) {
         physFactories_.reserve(metas.size());
         for (auto& meta : metas)
             physFactories_.push_back(std::move(meta.factory));
         for (std::size_t i = 0; i < metas.size(); ++i)
-            slots_[i] = canon(i);
+            slots_[i] = i;
         stats_.columnsMaterialized = metas.size();
         stats_.bytesPerSampleMaterialized = stats_.bytesPerSampleLowered;
     } else {

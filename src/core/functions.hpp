@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "core/operators.hpp"
 #include "core/uncertain.hpp"
@@ -45,13 +46,21 @@ UNCERTAIN_DEFINE_UNARY_FN(fabs)
 
 #undef UNCERTAIN_DEFINE_UNARY_FN
 
-/** |x| for any type with std::abs support. */
+/** |x| for any type with std::abs support. A signed integer wraps
+ *  like ops::Neg, so abs(MIN) is MIN instead of UB. */
 template <typename A>
     requires requires(A a) { std::abs(a); }
 auto
 abs(const Uncertain<A>& a)
 {
-    return a.map([](const A& x) { return std::abs(x); }, "abs");
+    return a.map(
+        [](const A& x) {
+            if constexpr (std::is_integral_v<A> && std::is_signed_v<A>)
+                return x < 0 ? core::ops::Neg{}(x) : +x;
+            else
+                return std::abs(x);
+        },
+        "abs");
 }
 
 /** x^y with an uncertain base and plain exponent. */

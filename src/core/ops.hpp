@@ -23,7 +23,8 @@
  * signed integer: the arithmetic runs in the unsigned type of the
  * same width, which is what the vector instructions and the JIT
  * compute. Signed overflow in the plain operators would be UB.
- * Integer Div is the plain operator.
+ * Integer Div is total too: a zero divisor throws uncertain::Error
+ * ("integer division by zero"), and MIN / -1 wraps to MIN like Neg.
  *
  * Min/Max deliberately spell out the std::min/std::max selection
  * ((y < x) ? y : x) rather than delegating, so the vector kernels
@@ -36,6 +37,8 @@
 
 #include <cstddef>
 #include <type_traits>
+
+#include "support/error.hpp"
 
 namespace uncertain {
 namespace core {
@@ -113,16 +116,6 @@ struct Mul
     }
 };
 
-struct Div
-{
-    template <typename X, typename Y>
-    constexpr auto
-    operator()(const X& x, const Y& y) const -> decltype(x / y)
-    {
-        return x / y;
-    }
-};
-
 struct Neg
 {
     template <typename X>
@@ -136,6 +129,24 @@ struct Neg
         } else {
             return -x;
         }
+    }
+};
+
+struct Div
+{
+    template <typename X, typename Y>
+    constexpr auto
+    operator()(const X& x, const Y& y) const -> decltype(x / y)
+    {
+        using R = decltype(x / y);
+        if constexpr (std::is_integral_v<R>) {
+            UNCERTAIN_REQUIRE(static_cast<R>(y) != R{0},
+                              "integer division by zero");
+            if constexpr (detail::kWraps<R>)
+                if (static_cast<R>(y) == R{-1})
+                    return Neg{}(static_cast<R>(x));
+        }
+        return x / y;
     }
 };
 

@@ -14,6 +14,8 @@ namespace random {
 
 Beta::Beta(double a, double b) : a_(a), b_(b)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(a), "Beta requires finite a");
+    UNCERTAIN_REQUIRE(std::isfinite(b), "Beta requires finite b");
     UNCERTAIN_REQUIRE(a > 0.0 && b > 0.0, "Beta requires a, b > 0");
 }
 

@@ -13,6 +13,7 @@ namespace random {
 
 ChiSquared::ChiSquared(double k) : k_(k)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(k), "ChiSquared requires finite k");
     UNCERTAIN_REQUIRE(k > 0.0, "ChiSquared requires k > 0");
 }
 

@@ -70,6 +70,8 @@ Poisson::Poisson(double lambda)
     : lambda_(lambda), expNegLambda_(std::exp(-lambda)),
       logLambda_(std::log(lambda))
 {
+    UNCERTAIN_REQUIRE(std::isfinite(lambda),
+                      "Poisson requires finite lambda");
     UNCERTAIN_REQUIRE(lambda > 0.0, "Poisson requires lambda > 0");
 }
 

@@ -14,6 +14,7 @@ namespace random {
 
 StudentT::StudentT(double nu) : nu_(nu)
 {
+    UNCERTAIN_REQUIRE(std::isfinite(nu), "StudentT requires finite nu");
     UNCERTAIN_REQUIRE(nu > 0.0, "StudentT requires nu > 0");
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Pass-by-pass unit tests for the batch-plan optimizer
- * (core/batch_plan.hpp). The contract under test: every pass — and
- * every combination of passes — leaves the drawn samples bit-identical
- * to the unoptimized plan, while PlanStats reports what each pass
+ * (core/batch_plan.hpp). The contract under test: the optimizer, at
+ * every execution backend, leaves the drawn samples bit-identical to
+ * the unoptimized plan, while PlanStats reports what each pass
  * actually did.
  *
  *  - structural CSE merges structurally equal interior nodes but
@@ -63,16 +63,8 @@ samplesWith(const Uncertain<T>& expr, const PlanOptions& optimizer,
     return expr.takeSamples(n, rng, sampler);
 }
 
-PlanOptions
-optionsFromMask(unsigned mask)
-{
-    PlanOptions options;
-    options.cse = (mask & 1u) != 0;
-    options.constantFolding = (mask & 2u) != 0;
-    options.fuseElementwise = (mask & 4u) != 0;
-    options.reuseBuffers = (mask & 8u) != 0;
-    return options;
-}
+/** The optimizer off at the default backend. */
+const PlanOptions kUnoptimized{false, simd::ExecBackend::Auto};
 
 // ---------------------------------------------------------------------
 // Structural CSE.
@@ -230,11 +222,8 @@ TEST(BatchOptimizer, FusedFpChainMatchesUnfused)
     for (int i = 0; i < 12; ++i)
         acc = acc * 1.01 + 0.125 - gaussianLeaf(0.0, 0.01);
 
-    auto fusedOn = PlanOptions{};
-    auto fusedOff = PlanOptions{};
-    fusedOff.fuseElementwise = false;
-    auto fused = samplesWith(acc, fusedOn, 20000, 50);
-    auto unfused = samplesWith(acc, fusedOff, 20000, 50);
+    auto fused = samplesWith(acc, PlanOptions{}, 20000, 50);
+    auto unfused = samplesWith(acc, kUnoptimized, 20000, 50);
     EXPECT_TRUE(testing::ksSameDistribution(fused, unfused));
     EXPECT_EQ(fused, unfused);
 }
@@ -246,11 +235,8 @@ TEST(BatchOptimizer, FusedFpChainMatchesUnfused)
 TEST(BatchOptimizer, BufferReuseIsOutputInvariant)
 {
     auto expr = buildChain(16);
-    auto reuseOn = PlanOptions{};
-    auto reuseOff = PlanOptions{};
-    reuseOff.reuseBuffers = false;
-    auto recycled = samplesWith(expr, reuseOn, 10000, 51);
-    auto plain = samplesWith(expr, reuseOff, 10000, 51);
+    auto recycled = samplesWith(expr, PlanOptions{}, 10000, 51);
+    auto plain = samplesWith(expr, kUnoptimized, 10000, 51);
     EXPECT_EQ(recycled, plain);
 }
 
@@ -295,10 +281,16 @@ TEST(BatchOptimizer, AllToggleCombinationsAreBitIdentical)
     auto expr = representativeGraph();
     auto baseline =
         samplesWith(expr, PlanOptions::disabled(), 8000, 52, 768);
-    for (unsigned mask = 0; mask < 16; ++mask) {
-        auto samples =
-            samplesWith(expr, optionsFromMask(mask), 8000, 52, 768);
-        EXPECT_EQ(samples, baseline) << "pass mask " << mask;
+    for (bool optimize : {false, true}) {
+        for (auto backend : {simd::ExecBackend::Auto,
+                             simd::ExecBackend::Simd,
+                             simd::ExecBackend::Scalar}) {
+            auto samples = samplesWith(
+                expr, PlanOptions{optimize, backend}, 8000, 52, 768);
+            EXPECT_EQ(samples, baseline)
+                << "optimize " << optimize << " backend "
+                << simd::backendName(backend);
+        }
     }
 }
 
@@ -327,12 +319,11 @@ TEST(BatchOptimizer, ThreadedSamplerRunsOptimizedPlansUnchanged)
 TEST(BatchOptimizer, OptimizerIsOnByDefault)
 {
     PlanOptions defaults;
-    EXPECT_TRUE(defaults.cse);
-    EXPECT_TRUE(defaults.constantFolding);
-    EXPECT_TRUE(defaults.fuseElementwise);
-    EXPECT_TRUE(defaults.reuseBuffers);
+    EXPECT_TRUE(defaults.optimize);
+    EXPECT_EQ(defaults.backend, simd::ExecBackend::Auto);
+    EXPECT_FALSE(PlanOptions::disabled().optimize);
     BatchOptions batchDefaults;
-    EXPECT_TRUE(batchDefaults.optimizer.cse);
+    EXPECT_TRUE(batchDefaults.optimizer.optimize);
 }
 
 } // namespace

@@ -77,10 +77,10 @@ TEST(BlockScheduler, BitExactAgainstTheSerialLoop)
 
             std::vector<std::uint8_t> spreadEvidence(n);
             std::vector<std::uint8_t> serialEvidence(n);
-            spread.fillEvidence(event.node(), a, 7, n,
-                                spreadEvidence.data());
-            serial.fillEvidence(event.node(), b, 7, n,
-                                serialEvidence.data());
+            spread.fillEvidencePlan(spread.planFor(event.node()), a, 7, n,
+                                    spreadEvidence.data());
+            serial.fillEvidencePlan(serial.planFor(event.node()), b, 7, n,
+                                    serialEvidence.data());
             EXPECT_EQ(spreadEvidence, serialEvidence);
         }
         if (helpers == 0) {
@@ -278,7 +278,8 @@ TEST(BlockScheduler, AHeldHelperNeverStallsItsCaller)
 
     BatchSampler serial(BatchOptions{kBlock});
     std::vector<double> expected(n);
-    serial.sampleInto(value.node(), n, base, expected.data());
+    serial.sampleIntoPlan(serial.planFor(value.node()), n, base,
+                          expected.data());
 
     auto scheduler = std::make_shared<BlockScheduler>(1);
     WorkspacePool workspaces;

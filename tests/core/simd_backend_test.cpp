@@ -20,9 +20,10 @@
  *  4. Ziggurat — the vector accept pass returns the scalar pass's
  *     accepted values and reject list bit for bit, over rejects,
  *     INT32_MIN words and tails of every length mod 4.
- *  5. Plan equivalence — all 16 optimizer toggle combinations x
- *     {Auto, Simd, Scalar} backends produce identical sample
- *     streams, and PlanStats/exec counters report the backend
+ *  5. Plan equivalence — the optimizer off and on x {Auto, Simd,
+ *     Scalar} backends produce identical sample streams, integer
+ *     division by zero is refused on every path, and PlanStats/exec
+ *     counters report the backend
  *     truthfully. The JIT rung (what Auto compiles fused groups to
  *     where the JIT is available) gets its own parity tests (IEEE
  *     edge cases, odd tails, refused groups, fragment-cache races)
@@ -131,16 +132,25 @@ stripHeavyGraph()
     return chain + shared * 0.125 - (-y);
 }
 
-PlanOptions
-toggleCombo(unsigned mask, simd::ExecBackend backend)
+/** The six plan configurations: optimizer {off, on} x backend
+ *  {Auto, Simd, Scalar}. */
+std::vector<PlanOptions>
+planConfigs()
 {
-    PlanOptions options;
-    options.cse = (mask & 1u) != 0;
-    options.constantFolding = (mask & 2u) != 0;
-    options.fuseElementwise = (mask & 4u) != 0;
-    options.reuseBuffers = (mask & 8u) != 0;
-    options.backend = backend;
-    return options;
+    std::vector<PlanOptions> configs;
+    for (bool optimize : {false, true})
+        for (auto backend : {simd::ExecBackend::Auto,
+                             simd::ExecBackend::Simd,
+                             simd::ExecBackend::Scalar})
+            configs.push_back({optimize, backend});
+    return configs;
+}
+
+std::string
+configName(const PlanOptions& options)
+{
+    return std::string(options.optimize ? "optimize on" : "optimize off")
+           + " backend " + simd::backendName(options.backend);
 }
 
 std::vector<double>
@@ -576,23 +586,54 @@ TEST(SimdBackend, PlanOutputsBitIdenticalAcrossBackendsAndToggles)
     // transcription semantics every configuration must reproduce.
     const auto ref = planSamples(expr, PlanOptions::disabled(), n,
                                  seed);
-    const simd::ExecBackend backends[] = {simd::ExecBackend::Auto,
-                                          simd::ExecBackend::Simd,
-                                          simd::ExecBackend::Scalar};
-    for (unsigned mask = 0; mask < 16; ++mask) {
-        for (auto backend : backends) {
-            auto samples = planSamples(
-                expr, toggleCombo(mask, backend), n, seed);
-            EXPECT_TRUE(bitIdentical(ref, samples))
-                << "toggle mask " << mask << " backend "
-                << simd::backendName(backend);
-        }
+    for (const auto& options : planConfigs()) {
+        EXPECT_TRUE(bitIdentical(ref, planSamples(expr, options, n, seed)))
+            << configName(options);
+    }
+}
+
+/**
+ * Values whose type cannot take a strip register — a std::string
+ * between two double steps, and the std::pair column of
+ * makeCorrelated — stay columns: their steps run as groups of one
+ * between fused double groups, bit-identical to the unoptimized
+ * scalar plan at every configuration.
+ */
+TEST(SimdBackend, NonRegisterableValuesStayColumnsInEveryGroup)
+{
+    auto x = gaussianLeaf(0.0, 1.0);
+    auto scaled = x * 2.0 + 1.0;
+    auto text = scaled.map([](double v) { return std::to_string(v); },
+                           "to_string");
+    auto parsed = text.map(
+        [](const std::string& s) {
+            return std::stod(s) + static_cast<double>(s.size());
+        },
+        "parse");
+    auto joint = makeCorrelated<double, double>(
+        [](Rng& rng) {
+            const double v = rng.nextDouble();
+            return std::pair<double, double>{v, v * 3.0};
+        },
+        "joint");
+    auto expr = (parsed - scaled) * 0.5
+                + (joint.first * 3.0 - joint.second) + joint.first * x;
+
+    const auto stats = planStats(expr);
+    EXPECT_GE(stats.fusedKernels, 2u) << stats.toString();
+
+    const std::size_t n = 2017;
+    const std::uint64_t seed = 84;
+    const auto ref = planSamples(expr, PlanOptions::disabled(), n, seed);
+    for (const auto& options : planConfigs()) {
+        EXPECT_TRUE(bitIdentical(ref, planSamples(expr, options, n, seed)))
+            << configName(options);
     }
 }
 
 /**
  * Every sample of @p expr equals @p want on the tree walk and on the
- * plan at every toggle x backend. n = 300 is one full strip (what a
+ * plan at every configuration. n = 300 is one full strip (what a
  * JIT fragment runs) plus a 44-element tail, which covers whole packs
  * and a scalar tail on every lane width.
  */
@@ -609,26 +650,21 @@ expectOnEveryPath(const Uncertain<T>& expr, T want, const std::string& what)
     Rng treeRng = testing::testRng(95);
     EXPECT_TRUE(allEqual(expr.takeSamples(n, treeRng)))
         << what << " tree walk";
-    for (auto backend : {simd::ExecBackend::Auto, simd::ExecBackend::Simd,
-                         simd::ExecBackend::Scalar}) {
-        for (unsigned mask = 0; mask < 16; ++mask) {
-            Rng rng = testing::testRng(95);
-            BatchSampler sampler(
-                BatchOptions{1024, toggleCombo(mask, backend)});
-            EXPECT_TRUE(allEqual(expr.takeSamples(n, rng, sampler)))
-                << what << " toggle mask " << mask << " backend "
-                << simd::backendName(backend);
-        }
+    for (const auto& options : planConfigs()) {
+        Rng rng = testing::testRng(95);
+        BatchSampler sampler(BatchOptions{1024, options});
+        EXPECT_TRUE(allEqual(expr.takeSamples(n, rng, sampler)))
+            << what << " " << configName(options);
     }
 }
 
 /**
- * Integer +, -, * and unary - wrap modulo 2^width on every path: the
- * tree walk, constant folding (toggles with folding on), the scalar
- * strips, the SIMD kernels and, for the int64 rows, the JIT. The
- * reference is computed here in the unsigned type. The zero operand
- * in front puts the op and the add after it in one fused group, so
- * Auto hands the pair to the JIT where it lowers them.
+ * Integer +, -, *, /, unary - and abs wrap modulo 2^width on every
+ * path: the tree walk, constant folding (optimizer on), the scalar
+ * strips, the SIMD kernels and, for the int64 +, - and * rows, the
+ * JIT. The reference is computed here in the unsigned type. The zero
+ * operand in front puts the op and the add after it in one fused
+ * group, so Auto hands the pair to the JIT where it lowers them.
  */
 template <typename T>
 void
@@ -641,8 +677,10 @@ expectIntegerEdgesWrap()
     const Uncertain<T> zero(T{0});
     for (T x : edges) {
         const Uncertain<T> a(x);
-        expectOnEveryPath(zero + (-a), static_cast<T>(U{} - U(x)),
-                          "-" + std::to_string(x));
+        const T negated = static_cast<T>(U{} - U(x));
+        expectOnEveryPath(zero + (-a), negated, "-" + std::to_string(x));
+        expectOnEveryPath(zero + abs(a), x < 0 ? negated : x,
+                          "abs " + std::to_string(x));
         for (T y : edges) {
             const Uncertain<T> b(y);
             const std::string pair =
@@ -653,6 +691,12 @@ expectIntegerEdgesWrap()
                               "sub " + pair);
             expectOnEveryPath(zero + (a * b), static_cast<T>(U(x) * U(y)),
                               "mul " + pair);
+            if (y != 0) {
+                expectOnEveryPath(zero + (a / b),
+                                  y == -1 ? negated
+                                          : static_cast<T>(x / y),
+                                  "div " + pair);
+            }
         }
     }
 }
@@ -661,6 +705,59 @@ TEST(SimdBackend, IntegerEdgesWrapOnEveryPath)
 {
     expectIntegerEdgesWrap<std::int32_t>();
     expectIntegerEdgesWrap<std::int64_t>();
+}
+
+/** @p run must throw the Error that names an integer zero divisor. */
+template <typename F>
+void
+expectDivisionByZero(F run, const std::string& where)
+{
+    try {
+        run();
+        ADD_FAILURE() << where << ": no error";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("integer division by zero"),
+                  std::string::npos)
+            << where << ": " << e.what();
+    }
+}
+
+TEST(SimdBackend, IntegerDivisionByZeroThrowsOnEveryPath)
+{
+    const Uncertain<int> counts = Uncertain<int>::fromSampler(
+        [](Rng& rng) { return static_cast<int>(rng.nextBelow(7)) - 3; },
+        "counts");
+    const Uncertain<int> zero(0);
+    const auto divided = counts / zero + 1;
+    const auto folded = Uncertain<int>(1) / 0;
+    const std::size_t n = 3 * batch::kStripElems + 5;
+
+    Rng treeRng = testing::testRng(96);
+    expectDivisionByZero([&] { (void)divided.takeSamples(n, treeRng); },
+                         "tree walk");
+    for (const auto& options : planConfigs()) {
+        for (const auto* expr : {&divided, &folded}) {
+            Rng rng = testing::testRng(96);
+            BatchSampler sampler(BatchOptions{1024, options});
+            expectDivisionByZero(
+                [&] { (void)expr->takeSamples(n, rng, sampler); },
+                (expr == &folded ? "folded " : "") + configName(options));
+        }
+    }
+
+    // A query spread over scheduler helpers: the block that throws
+    // may run on a helper, and the error still reaches the caller.
+    auto scheduler = std::make_shared<BlockScheduler>(2);
+    BatchSampler spread(BatchOptions{256}, nullptr, scheduler);
+    Rng rng = testing::testRng(97);
+    expectDivisionByZero(
+        [&] { (void)divided.takeSamples(8 * 256 + 3, rng, spread); },
+        "scheduler helpers");
+    const auto mean =
+        divided.map([](int v) { return static_cast<double>(v); });
+    expectDivisionByZero(
+        [&] { (void)mean.expectedValue(8 * 256 + 3, rng, spread); },
+        "scheduler helpers, expected value");
 }
 
 TEST(SimdBackend, PlanStatsReportTheRequestedBackend)
@@ -766,10 +863,9 @@ TEST(SimdBackend, JitPlanHandlesIeeeEdgeCasesAndOddTails)
     const std::uint64_t seed = 83;
     const auto ref = planSamples(expr, PlanOptions::disabled(), n,
                                  seed);
-    for (unsigned mask = 0; mask < 16; ++mask) {
-        auto samples = planSamples(
-            expr, toggleCombo(mask, simd::ExecBackend::Auto), n, seed);
-        EXPECT_TRUE(bitIdentical(ref, samples)) << "toggle " << mask;
+    for (const auto& options : planConfigs()) {
+        EXPECT_TRUE(bitIdentical(ref, planSamples(expr, options, n, seed)))
+            << configName(options);
     }
 }
 

@@ -366,6 +366,32 @@ TEST(Weibull, RefusesNonFiniteParameters)
     expectRefusedBy([] { (void)Weibull(1.5, kNan); }, "finite scale");
 }
 
+TEST(Beta, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)Beta(kInf, 1.0); }, "finite a");
+    expectRefusedBy([] { (void)Beta(kNan, 1.0); }, "finite a");
+    expectRefusedBy([] { (void)Beta(1.0, kInf); }, "finite b");
+    expectRefusedBy([] { (void)Beta(1.0, kNan); }, "finite b");
+}
+
+TEST(StudentT, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)StudentT(kInf); }, "finite nu");
+    expectRefusedBy([] { (void)StudentT(kNan); }, "finite nu");
+}
+
+TEST(ChiSquared, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)ChiSquared(kInf); }, "finite k");
+    expectRefusedBy([] { (void)ChiSquared(kNan); }, "finite k");
+}
+
+TEST(Poisson, RefusesNonFiniteParameters)
+{
+    expectRefusedBy([] { (void)Poisson(kInf); }, "finite lambda");
+    expectRefusedBy([] { (void)Poisson(kNan); }, "finite lambda");
+}
+
 } // namespace
 } // namespace random
 } // namespace uncertain

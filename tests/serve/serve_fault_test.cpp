@@ -175,6 +175,53 @@ TEST(ServeFault, BadParamsAndUnknownModelsAreRefused)
     EXPECT_EQ(stats.executed, 1u);
 }
 
+TEST(ServeFault, IntegerDivisionByZeroIsABadRequest)
+{
+    // A registered model whose every draw divides by an integer zero:
+    // the plan throws the named Error, the server answers BadRequest,
+    // and the worker keeps serving.
+    constexpr std::uint32_t kDivideByZeroModel = 98;
+    UncertainServer server;
+    server.registerModel(
+        kDivideByZeroModel,
+        [](const std::vector<double>&, Rng&, serve::ModelInstance& out) {
+            const Uncertain<int> counts = Uncertain<int>::fromSampler(
+                [](Rng& rng) { return static_cast<int>(rng.nextBelow(5)); },
+                "counts");
+            const Uncertain<double> x =
+                (counts / Uncertain<int>(0)).map([](int v) {
+                    return static_cast<double>(v);
+                });
+            out.value = x.node();
+            out.event = (x > 0.5).node();
+            out.fast = out.event;
+            out.slow = (x < 0.5).node();
+            return true;
+        });
+    server.start();
+    LoopbackClient client(server);
+
+    std::uint64_t id = 0;
+    for (Opcode opcode : {Opcode::Pr, Opcode::ExpectedValue,
+                          Opcode::TakeSamples, Opcode::Advise}) {
+        Request request;
+        request.opcode = opcode;
+        request.tenantId = 1;
+        request.requestId = ++id;
+        request.modelId = kDivideByZeroModel;
+        request.sampleCount = 64;
+        const Response reply = client.call(request);
+        EXPECT_EQ(reply.status, Status::BadRequest)
+            << "opcode " << static_cast<int>(opcode);
+        EXPECT_EQ(reply.requestId, id);
+    }
+    EXPECT_EQ(client.call(serveChainRequest(Opcode::Pr, 1, ++id)).status,
+              Status::Ok);
+    const serve::ServerStats stats = serve::serverStats(server);
+    EXPECT_EQ(stats.badRequest, 4u);
+    EXPECT_EQ(stats.executed, 1u);
+}
+
 TEST(ServeFault, QueueFullRejectsWithExplicitOverloadStatus)
 {
     ServerOptions options;
