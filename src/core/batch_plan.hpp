@@ -29,11 +29,12 @@
  *                         point masses are evaluated at compile time;
  *                         constant columns are filled once per
  *                         workspace, not once per block.
- *   3. kernel fusion    — maximal runs of consecutive elementwise
- *                         steps become one strip-mined kernel; values
- *                         consumed only inside the run live in
- *                         stack-resident strip registers and never
- *                         round-trip through a column.
+ *   3. kernel fusion    — each maximal run of consecutive elementwise
+ *                         steps becomes one strip-mined kernel; values
+ *                         consumed only inside the run live in strip
+ *                         registers (one aligned scratch buffer per
+ *                         workspace, sized by the plan's widest group)
+ *                         and never round-trip through a column.
  *   4. buffer reuse     — a last-use (liveness) analysis maps logical
  *                         columns onto a small set of physical slots,
  *                         shrinking the workspace from O(nodes) to
@@ -133,8 +134,8 @@ constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
 constexpr std::size_t kStripElems = 256;
 
 /**
- * Alignment of strip registers inside the fused kernel's scratch (and
- * of the scratch block itself). Must cover the widest vector
+ * Alignment of strip registers inside a workspace's scratch buffer
+ * (and of the buffer itself). Must cover the widest vector
  * load/store any execution backend issues: 64 bytes spans AVX2 (32),
  * a full cache line, and a future AVX-512 register. Every strip
  * register's byte offset is a multiple of this (regBytes rounds
@@ -146,14 +147,6 @@ static_assert(kStripAlign >= 64
                   && (kStripAlign & (kStripAlign - 1)) == 0,
               "kStripAlign must be a power of two covering the widest "
               "vector register");
-
-/** Stack scratch per fused kernel; bounds concurrent strip registers
- *  (the fusion pass splits a run into several kernels rather than
- *  exceed it). */
-constexpr std::size_t kFusedScratchBytes = std::size_t{32} * 1024;
-static_assert(kFusedScratchBytes % kStripAlign == 0,
-              "scratch budget must hold a whole number of aligned "
-              "strip registers");
 
 } // namespace batch
 
@@ -216,10 +209,10 @@ class Column final : public ColumnBase
 };
 
 /**
- * Per-execution state for one block: the physical column storage plus
- * the block's generator. A workspace belongs to one thread at a time;
- * parallel execution gives each worker its own workspace over the
- * same immutable plan.
+ * Per-execution state for one block: the physical column storage, the
+ * fused groups' strip registers and the block's generator. A
+ * workspace belongs to one thread at a time; parallel execution gives
+ * each worker its own workspace over the same immutable plan.
  *
  * Kernels address columns by *logical* id (the SSA id assigned during
  * lowering and captured in their closures); the workspace indirects
@@ -287,8 +280,17 @@ class BatchWorkspace
   private:
     friend class BatchPlan;
 
+    /** One kStripAlign-sized, kStripAlign-aligned unit of scratch. */
+    struct alignas(batch::kStripAlign) StripUnit
+    {
+        unsigned char bytes[batch::kStripAlign];
+    };
+
     std::vector<std::unique_ptr<ColumnBase>> columns_; //!< physical
     const std::vector<std::size_t>* slots_ = nullptr;  //!< logical->physical
+    /** Strip registers of whichever fused group is running; the
+     *  plan's groups run one after another, so they share it. */
+    std::vector<StripUnit> scratch_;
     std::size_t length_ = 0;
     std::size_t constLength_ = 0; //!< prefix of constant columns filled
     Rng blockBase_{0};
@@ -302,7 +304,7 @@ namespace batch {
 /**
  * Where a fused micro-op reads or writes: either a workspace column
  * (addressed at the strip's base offset) or a strip register at a
- * byte offset inside the fused kernel's stack scratch.
+ * byte offset inside the workspace's scratch buffer.
  */
 struct StripLoc
 {
@@ -841,7 +843,8 @@ class BatchPlan
 
     const PlanStats& stats() const { return stats_; }
 
-    /** A fresh workspace with one column per physical slot. */
+    /** A fresh workspace with one column per physical slot and the
+     *  strip registers of the plan's widest fused group. */
     BatchWorkspace
     makeWorkspace() const
     {
@@ -850,6 +853,7 @@ class BatchPlan
         for (const auto& make : physFactories_)
             ws.columns_.push_back(make());
         ws.slots_ = &slots_;
+        ws.scratch_.resize(scratchBytes_ / batch::kStripAlign);
         return ws;
     }
 
@@ -931,6 +935,7 @@ class BatchPlan
     std::vector<std::size_t> slots_; //!< logical -> physical
     std::vector<BatchStep> constSteps_; //!< once per workspace length
     std::vector<BatchStep> steps_;      //!< once per block
+    std::size_t scratchBytes_ = 0; //!< strip registers of the widest group
     PlanStats stats_;
     std::uint64_t leafCount_;
     std::size_t rootColumn_;
@@ -1146,16 +1151,17 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
     //
     // Every elementwise step runs in a group. Unoptimized, each group
     // holds one op and runs it once over the whole block. Optimized,
-    // maximal runs of consecutive elementwise steps over registerable
-    // types become fused groups that process the block in strips of
-    // kStripElems elements, each micro-op handling one strip before
-    // the next op runs, so intermediate values are L1-hot. A value
-    // consumed only inside its group lives in a stack register and
-    // never touches its column at all. A step that touches a value
-    // whose type is not registerable is a group of one, so that value
-    // is always a column. Per-element arithmetic and order are
-    // unchanged — fusion only reorders *which elements* are computed
-    // when, never what is computed — so results stay bit-identical.
+    // each maximal run of consecutive elementwise steps over
+    // registerable types becomes one fused group that processes the
+    // block in strips of kStripElems elements, each micro-op handling
+    // one strip before the next op runs, so intermediate values are
+    // L1-hot. A value consumed only inside its group lives in a strip
+    // register in the workspace's scratch and never touches its column
+    // at all. A step that touches a value whose type is not
+    // registerable is a group of one, so that value is always a
+    // column. Per-element arithmetic and order are unchanged — fusion
+    // only reorders *which elements* are computed when, never what is
+    // computed — so results stay bit-identical.
     std::vector<std::vector<std::size_t>> readers(metas.size());
     for (std::size_t k = 0; k < mainSteps.size(); ++k)
         for (const auto o : mainSteps[k].operands)
@@ -1337,8 +1343,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                 release(o);
             release(s.out); // a register written but never read
         }
-        UNCERTAIN_ASSERT(top <= batch::kFusedScratchBytes,
-                         "fused group exceeds scratch budget");
+        scratchBytes_ = std::max(scratchBytes_, top);
         std::sort(e.reads.begin(), e.reads.end());
         e.reads.erase(std::unique(e.reads.begin(), e.reads.end()),
                       e.reads.end());
@@ -1368,8 +1373,8 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
                  tableCols = std::move(tableCols), width, groupHasSimd,
                  ctrStrips, ctrSimdStrips,
                  ctrJitStrips](BatchWorkspace& ws) {
-            alignas(batch::kStripAlign)
-                unsigned char scratch[batch::kFusedScratchBytes];
+            auto* scratch =
+                reinterpret_cast<unsigned char*>(ws.scratch_.data());
             unsigned char* cols[jit::kMaxColumnSlots];
             if (frag != nullptr)
                 for (std::size_t i = 0; i < tableCols.size(); ++i)
@@ -1405,48 +1410,6 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
         }
     };
 
-    // Partition each maximal fusable run into groups bounded by the
-    // scratch budget. The grouping simulation treats values consumed
-    // outside the *run* as columns; per-group allocation later treats
-    // values consumed outside the *group* as columns — a superset, so
-    // the real register pressure can only be lower than simulated and
-    // the budget holds.
-    auto flushRun = [&](std::size_t begin, std::size_t end) {
-        std::unordered_map<std::size_t, std::size_t> lastUseInRun;
-        for (std::size_t k = begin; k < end; ++k)
-            for (const auto o : mainSteps[k].operands)
-                lastUseInRun[o] = k;
-        std::unordered_map<std::size_t, std::size_t> regSize;
-        std::size_t used = 0;
-        std::size_t groupStart = begin;
-        for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t out = mainSteps[k].out;
-            const std::size_t need =
-                registerOnly(out, begin, end) ? regBytes(metas[out].elemSize)
-                                              : 0;
-            if (used + need > batch::kFusedScratchBytes
-                && k > groupStart) {
-                emitGroup(groupStart, k);
-                groupStart = k;
-                regSize.clear();
-                used = 0;
-            }
-            if (need > 0) {
-                regSize[out] = need;
-                used += need;
-            }
-            for (const auto o : mainSteps[k].operands) {
-                auto it = regSize.find(o);
-                auto lit = lastUseInRun.find(o);
-                if (it != regSize.end() && lit != lastUseInRun.end()
-                    && lit->second <= k) {
-                    used -= it->second;
-                    regSize.erase(it);
-                }
-            }
-        }
-        emitGroup(groupStart, end);
-    };
     auto fusable = [&](const StepInfo& s) {
         if (!optimize || s.kind != StepKind::Elementwise
             || !metas[s.out].registerable)
@@ -1464,7 +1427,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
             continue;
         }
         if (runStart != batch::kNoColumn) {
-            flushRun(runStart, k);
+            emitGroup(runStart, k);
             runStart = batch::kNoColumn;
         }
         auto& s = mainSteps[k];
@@ -1474,7 +1437,7 @@ BatchPlan::build(std::vector<BatchBuilder::ColumnMeta>&& metas,
             execs.push_back({std::move(s.run), {}, {s.out}});
     }
     if (runStart != batch::kNoColumn)
-        flushRun(runStart, mainSteps.size());
+        emitGroup(runStart, mainSteps.size());
 
     // ---- liveness-based slot assignment -----------------------------
     //

@@ -88,13 +88,6 @@ class SampleContext
     Rng& rng() { return *rng_; }
     std::uint64_t epoch() const { return epoch_; }
 
-    /**
-     * Point this context at a different generator. Used by the batch
-     * engines to give each sample index its own split() stream while
-     * reusing one memo table for the whole chunk.
-     */
-    void rebindRng(Rng& rng) { rng_ = &rng; }
-
     /** Open a new epoch: invalidates every memoized draw. */
     void
     newEpoch()
@@ -134,9 +127,6 @@ class SampleContext
 
     /** The memo slot for @p node, created empty on first use. */
     MemoSlot& slotFor(const GraphNode* node) { return memo_[node]; }
-
-    /** Pre-size the memo table for a graph of @p nodes nodes. */
-    void reserve(std::size_t nodes) { memo_.reserve(nodes); }
 
   private:
     /** Pointer hash with SplitMix64-style finalization: allocator

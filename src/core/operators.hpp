@@ -55,15 +55,6 @@ liftBinary(F f, const Uncertain<A>& a, const Uncertain<B>& b,
         std::move(f), std::move(label), a.node(), b.node()));
 }
 
-/** Lift an arbitrary unary function (same as Uncertain::map). */
-template <typename F, typename A>
-auto
-liftUnary(F f, const Uncertain<A>& a, std::string label = "apply")
-    -> Uncertain<std::decay_t<std::invoke_result_t<F, A>>>
-{
-    return a.map(std::move(f), std::move(label));
-}
-
 /**
  * Lift an arbitrary ternary function over three uncertain operands.
  * The basis of uncertain::select (core/functions.hpp).

@@ -245,21 +245,11 @@ class ExactBuilder
     /** Number of distinct stochastic leaves lowered so far. */
     std::size_t leafCount() const { return leaves_.size(); }
 
-    /** Number of entries (== SSA values) lowered so far. */
-    std::size_t entryCount() const { return entries_.size(); }
-
     /** Joint states spanned by @p entry's table. */
     std::size_t
     states(std::size_t entry) const
     {
         return entries_.at(entry).states;
-    }
-
-    /** Distinct stochastic leaves @p entry depends on. */
-    std::size_t
-    leafDependencies(std::size_t entry) const
-    {
-        return entries_.at(entry).leaves.size();
     }
 
     /**

@@ -79,13 +79,5 @@ DiscretePosterior::mean() const
     return total;
 }
 
-double
-DiscretePosterior::valueAt(std::size_t index) const
-{
-    UNCERTAIN_REQUIRE(index < values_.size(),
-                      "hypothesis index out of range");
-    return values_[index];
-}
-
 } // namespace inference
 } // namespace uncertain

@@ -50,7 +50,6 @@ class DiscretePosterior
     double mean() const;
 
     std::size_t size() const { return values_.size(); }
-    double valueAt(std::size_t index) const;
 
   private:
     std::vector<double> values_;

@@ -38,7 +38,6 @@ class Mixture : public Distribution
     double mean() const override;
     double variance() const override;
 
-    std::size_t componentCount() const { return components_.size(); }
     double weightOf(std::size_t index) const;
 
   private:

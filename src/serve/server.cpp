@@ -304,8 +304,9 @@ UncertainServer::rejectNow(const Request& request, const ReplySink& sink,
                            Status status, bool countTenantReceived)
 {
     {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ServerStats& stats = refusalStats_;
+        StatsShard& control = *shards_.back();
+        std::lock_guard<std::mutex> lock(control.mutex);
+        ServerStats& stats = control.stats;
         TenantStats& tenant = stats.tenants[request.tenantId];
         ++stats.received;
         if (countTenantReceived)
@@ -737,10 +738,6 @@ UncertainServer::stats() const
         std::lock_guard<std::mutex> lock(shard->mutex);
         accumulate(snapshot, shard->stats);
         latency.merge(shard->latency);
-    }
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        accumulate(snapshot, refusalStats_);
     }
     {
         std::lock_guard<std::mutex> lock(queueMutex_);

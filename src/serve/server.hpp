@@ -418,8 +418,11 @@ class UncertainServer
     };
 
     /**
-     * The counters one writer owns: a worker (or stop(), for the
-     * backlog it refuses). Only stats() ever contends for the mutex.
+     * The counters of one worker, or, for the control shard (the
+     * last), of every refusal made outside a worker: stop()'s backlog
+     * and rejectNow() on the transport threads. A worker's shard
+     * contends only with stats(); the control shard also with the
+     * transport threads that refuse at submit.
      */
     struct StatsShard
     {
@@ -463,12 +466,8 @@ class UncertainServer
                        InstanceKeyHash>
         instances_;
 
-    /** One shard per worker, then the control shard of stop(). */
+    /** One shard per worker, then the control shard. */
     std::vector<std::unique_ptr<StatsShard>> shards_;
-
-    /** Refusals decided at submit (the cold paths). */
-    mutable std::mutex statsMutex_;
-    ServerStats refusalStats_;
 };
 
 /** Counter snapshot, mirroring planStats(). */

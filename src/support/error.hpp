@@ -31,7 +31,8 @@ class Error : public std::runtime_error
 
 namespace detail {
 
-/** Throws uncertain::Error with file/line context. [[noreturn]] */
+/** Throws uncertain::Error with the basename of @p file and the
+ *  line. [[noreturn]] */
 [[noreturn]] void
 throwError(const char* file, int line, const std::string& message);
 

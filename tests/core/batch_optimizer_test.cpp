@@ -22,7 +22,9 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/core.hpp"
@@ -65,6 +67,20 @@ samplesWith(const Uncertain<T>& expr, const PlanOptions& optimizer,
 
 /** The optimizer off at the default backend. */
 const PlanOptions kUnoptimized{false, simd::ExecBackend::Auto};
+
+/** The six plan configurations: optimizer {off, on} x backend
+ *  {Auto, Simd, Scalar}. */
+std::vector<PlanOptions>
+planConfigs()
+{
+    std::vector<PlanOptions> configs;
+    for (bool optimize : {false, true})
+        for (auto backend : {simd::ExecBackend::Auto,
+                             simd::ExecBackend::Simd,
+                             simd::ExecBackend::Scalar})
+            configs.push_back({optimize, backend});
+    return configs;
+}
 
 // ---------------------------------------------------------------------
 // Structural CSE.
@@ -228,6 +244,55 @@ TEST(BatchOptimizer, FusedFpChainMatchesUnfused)
     EXPECT_EQ(fused, unfused);
 }
 
+/**
+ * select(t, d, x) where t ands @p bools comparisons of one leaf x and
+ * d sums @p terms scaled copies of x. Both are nested to the right,
+ * so every comparison is live when the first `&&` runs and every
+ * product when the first `+` runs.
+ */
+Uncertain<double>
+wideRunGraph(int bools, int terms)
+{
+    auto x = gaussianLeaf();
+    std::vector<Uncertain<bool>> b;
+    for (int i = 0; i < bools; ++i)
+        b.push_back(x > 0.001 * i);
+    auto t = b.back();
+    for (int i = bools - 2; i >= 0; --i)
+        t = b[static_cast<std::size_t>(i)] && t;
+    std::vector<Uncertain<double>> m;
+    for (int i = 0; i < terms; ++i)
+        m.push_back(x * (1.0 + 0.01 * i));
+    auto d = m.back();
+    for (int i = terms - 2; i >= 0; --i)
+        d = m[static_cast<std::size_t>(i)] + d;
+    return select(t, d, x);
+}
+
+TEST(BatchOptimizer, WideFusableRunIsOneGroup)
+{
+    // One fusable run whose strip registers pass 32 KiB: the fusion
+    // pass makes it one group, whatever its width, and the output
+    // keeps the unoptimized plan's bits on every backend.
+    for (const auto& [bools, terms] : {std::pair{100, 14}, {120, 15}}) {
+        auto expr = wideRunGraph(bools, terms);
+        EXPECT_EQ(planStats(expr).fusedKernels, 1u)
+            << bools << " x " << terms;
+        const std::size_t n = 2017;
+        auto reference = samplesWith(expr, PlanOptions::disabled(), n, 54);
+        for (const auto& options : planConfigs()) {
+            auto samples = samplesWith(expr, options, n, 54);
+            ASSERT_EQ(samples.size(), n);
+            EXPECT_EQ(std::memcmp(samples.data(), reference.data(),
+                                  n * sizeof(double)),
+                      0)
+                << bools << " x " << terms << " optimize "
+                << options.optimize << " backend "
+                << simd::backendName(options.backend);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Buffer reuse.
 // ---------------------------------------------------------------------
@@ -281,16 +346,11 @@ TEST(BatchOptimizer, AllToggleCombinationsAreBitIdentical)
     auto expr = representativeGraph();
     auto baseline =
         samplesWith(expr, PlanOptions::disabled(), 8000, 52, 768);
-    for (bool optimize : {false, true}) {
-        for (auto backend : {simd::ExecBackend::Auto,
-                             simd::ExecBackend::Simd,
-                             simd::ExecBackend::Scalar}) {
-            auto samples = samplesWith(
-                expr, PlanOptions{optimize, backend}, 8000, 52, 768);
-            EXPECT_EQ(samples, baseline)
-                << "optimize " << optimize << " backend "
-                << simd::backendName(backend);
-        }
+    for (const auto& options : planConfigs()) {
+        auto samples = samplesWith(expr, options, 8000, 52, 768);
+        EXPECT_EQ(samples, baseline)
+            << "optimize " << options.optimize << " backend "
+            << simd::backendName(options.backend);
     }
 }
 

@@ -23,6 +23,8 @@ TEST(Require, ThrowsUncertainErrorWithMessage)
         std::string what = e.what();
         EXPECT_NE(what.find("the message"), std::string::npos);
         EXPECT_NE(what.find("error_test.cpp"), std::string::npos);
+        // The file's basename only: no build directory leaks out.
+        EXPECT_EQ(what.find('/'), std::string::npos) << what;
     }
 }
 
