@@ -301,6 +301,28 @@ BM_ParallelTakeSamples(benchmark::State& state)
 BENCHMARK(BM_ParallelTakeSamples)
     ->ArgsProduct({{1, 2, 4, 8}, {8, 64}});
 
+/** The mean of a query wide enough to spread: each block is summed
+ *  on the participant that draws it. Timed in real time: at more
+ *  threads than CPUs the caller's CPU time undercounts the query. */
+void
+BM_ParallelExpectedValue(benchmark::State& state)
+{
+    const auto threads = static_cast<unsigned>(state.range(0));
+    auto chain = buildChain(static_cast<int>(state.range(1)));
+    Rng rng(10);
+    core::BatchSampler sampler(
+        core::BatchOptions{8192, optimizerOptions()}, nullptr,
+        std::make_shared<core::BlockScheduler>(threads - 1));
+    const std::size_t n = 262144;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(chain.expectedValue(n, rng, sampler));
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_ParallelExpectedValue)
+    ->ArgsProduct({{1, 2, 4, 8}, {8, 64}})
+    ->UseRealTime();
+
 void
 BM_ParallelConditional(benchmark::State& state)
 {

@@ -37,6 +37,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -275,7 +276,7 @@ class BatchSampler
                                   rng);
     }
 
-    /** Mean of @p n samples, reduced serially in index order. */
+    /** Mean of @p n samples: sumInBlocks of the draws, over n. */
     template <typename T>
     T
     expectedValue(const NodePtr<T>& node, std::size_t n, Rng& rng)
@@ -289,14 +290,16 @@ class BatchSampler
     probability(const NodePtr<bool>& node, std::size_t n, Rng& rng)
     {
         UNCERTAIN_REQUIRE(n >= 1, "probability requires n >= 1");
-        std::unique_ptr<bool[]> buffer(new bool[n]);
-        sampleIntoPlan(cache_->planFor(node, optimizer_), n, rng,
-                       buffer.get());
+        const std::size_t hits = reducePlan<bool>(
+            cache_->planFor(node, optimizer_), n, rng,
+            [](const std::uint8_t* x, std::size_t len) {
+                std::size_t count = 0;
+                for (std::size_t i = 0; i < len; ++i)
+                    count += x[i] != 0 ? 1 : 0;
+                return count;
+            });
         evalStats().rootSamples += n;
         rng.advance();
-        std::size_t hits = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            hits += buffer[i] ? 1 : 0;
         return static_cast<double>(hits) / static_cast<double>(n);
     }
 
@@ -366,10 +369,11 @@ class BatchSampler
     }
 
     /**
-     * expectedValue against an already-resolved plan. Each block is
-     * folded from its root column as it completes, in index order, so
-     * memory stays O(blockSize) on the serial path; a query the
-     * scheduler spreads keeps its n draws for the in-order fold.
+     * expectedValue against an already-resolved plan. Each block's
+     * root column is summed by blockSum where it is drawn, and the
+     * block sums are added in block order (sumInBlocks), so memory
+     * stays O(blockSize) and the bits are the same for every helper
+     * count.
      */
     template <typename T>
     T
@@ -377,28 +381,10 @@ class BatchSampler
                       std::size_t n, Rng& rng)
     {
         UNCERTAIN_REQUIRE(n >= 1, "expectedValue requires n >= 1");
-        UNCERTAIN_REQUIRE(plan != nullptr,
-                          "plan-direct sampling requires a plan");
-        T total{};
-        if (spreads(n)) {
-            std::unique_ptr<T[]> draws(new T[n]);
-            auto task = std::make_shared<MeanBlocks<T>>(
-                plan, rng, 0, n, blockSize_, draws.get());
-            scheduler_->run(task, workspaces_);
-            total = task->total();
-        } else {
-            bool first = true;
-            forEachBlock<T>(plan, rng, 0, n,
-                            [&](const auto* col, std::size_t len) {
-                                std::size_t i = 0;
-                                if (first) {
-                                    total = col[i++];
-                                    first = false;
-                                }
-                                for (; i < len; ++i)
-                                    total = total + col[i];
-                            });
-        }
+        const auto total = reducePlan<T>(
+            plan, n, rng, [](const auto* x, std::size_t len) {
+                return blockSum(x, len);
+            });
         evalStats().rootSamples += n;
         ++evalStats().expectations;
         rng.advance();
@@ -471,6 +457,39 @@ class BatchSampler
             plan->runBlock(workspace, base, offset + start, len);
             visit(workspace.template column<T>(rootCol).data(), len);
         }
+    }
+
+    /**
+     * Reduce each block of the first @p n draws with @p reduce (root
+     * column, length) and add the partials in block order: on the
+     * committing participant when the query spreads, block by block
+     * on this thread otherwise.
+     */
+    template <typename T, typename Reduce>
+    typename ReduceBlocks<T, Reduce>::Partial
+    reducePlan(const std::shared_ptr<const BatchPlan>& plan,
+               std::size_t n, const Rng& base, Reduce reduce)
+    {
+        using Task = ReduceBlocks<T, Reduce>;
+        UNCERTAIN_REQUIRE(plan != nullptr,
+                          "plan-direct sampling requires a plan");
+        if (spreads(n)) {
+            auto task = std::make_shared<Task>(plan, base, 0, n,
+                                               blockSize_,
+                                               std::move(reduce));
+            scheduler_->run(task, workspaces_);
+            return task->total();
+        }
+        std::optional<typename Task::Partial> total;
+        forEachBlock<T>(plan, base, 0, n,
+                        [&](const auto* col, std::size_t len) {
+                            auto partial = reduce(col, len);
+                            if (total)
+                                *total = *total + partial;
+                            else
+                                total.emplace(partial);
+                        });
+        return *total;
     }
 
     /** Write the draws of [offset, offset + n) to out[0..n). */

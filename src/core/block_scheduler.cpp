@@ -41,8 +41,8 @@ BlockScheduler::finish(BlockTask& task, std::size_t block,
 void
 BlockScheduler::awaitCommit(const BlockTask& task, std::size_t block)
 {
-    // A copy of one block another participant has begun, never a
-    // block's computation.
+    // The commit of one block another participant has begun (a copy
+    // or a reduction of its root column), never a block's fill.
     while (task.state_[block].load(std::memory_order_acquire)
            == BlockTask::kWriting)
         std::this_thread::yield();
@@ -127,37 +127,27 @@ BlockScheduler::run(const std::shared_ptr<BlockTask>& task,
     BlockTask& t = *task;
     const std::size_t blocks = t.blocks_;
     const bool shared = publish(task);
-    std::size_t folded = 0;
     try {
-        // Claim like any helper; fold the finished prefix between
-        // blocks so the reduction overlaps the helpers' fills.
         for (std::size_t b;
              (b = t.next_.fetch_add(1, std::memory_order_relaxed))
-             < blocks;) {
+             < blocks;)
             finish(t, b, workspaces);
-            while (folded < blocks
-                   && t.state_[folded].load(std::memory_order_acquire)
-                          == BlockTask::kDone) {
-                t.fold(folded++);
-            }
-        }
         if (shared) {
             std::lock_guard<std::mutex> lock(mutex_);
             retireExhausted();
         }
         // Nothing unclaimed remains: take over every block a helper
         // has claimed but not finished instead of waiting for it.
-        for (; folded < blocks; ++folded) {
-            if (t.state_[folded].load(std::memory_order_acquire)
+        for (std::size_t b = 0; b < blocks; ++b) {
+            if (t.state_[b].load(std::memory_order_acquire)
                 == BlockTask::kOpen)
-                finish(t, folded, workspaces);
-            awaitCommit(t, folded);
-            t.fold(folded);
+                finish(t, b, workspaces);
+            awaitCommit(t, b);
         }
     } catch (...) {
         // No helper may write the caller's output once it unwinds:
         // close the counter, abandon every open block, and wait out
-        // the copies already in progress.
+        // the commits already in progress.
         t.next_.store(blocks, std::memory_order_relaxed);
         for (std::size_t b = 0; b < blocks; ++b) {
             std::uint8_t expected = BlockTask::kOpen;

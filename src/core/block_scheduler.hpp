@@ -18,13 +18,16 @@
  *   - A slow helper never stalls its caller. Once no unclaimed block
  *     remains, the caller recomputes every block a helper has claimed
  *     but not finished. A per-block compare-and-swap lets exactly one
- *     finisher write the output; the other discards its copy. Both
+ *     finisher commit the block; the other discards its copy. Both
  *     computed the same bits, so the reply does not depend on who
- *     won. The caller waits only for a copy already in progress.
- *   - The caller folds finished blocks in index order while later
- *     blocks are still filling (BlockTask::fold), so a reduction such
- *     as the mean of expectedValue stays serial and in index order:
- *     bit-identical to the serial loop.
+ *     won. The caller waits only for a commit already in progress.
+ *   - A reduction runs where each block is committed: the
+ *     participant that commits a block reduces its root column to one
+ *     partial (ReduceBlocks), and the caller joins the partials in
+ *     block order once every block is in. The serial loop reduces
+ *     each block with the same function and joins in the same order,
+ *     so the mean of expectedValue and the hit count of probability
+ *     are bit-identical to it, and no n-sized buffer is kept.
  *   - An exception thrown in a block reaches only its own caller. A
  *     helper that fails a block leaves it unfinished, the caller takes
  *     it over and throws the same error itself.
@@ -32,9 +35,10 @@
  *     the caller its sampler's pool, each helper a pool of its own.
  *
  * The task holds everything helpers touch (plan, Rng copy, output
- * pointer) and is shared with them, so a helper still filling a
- * block after its caller returned works on live state; it can no
- * longer write the output, because every block is finished by then.
+ * pointer or partials) and is shared with them, so a helper still
+ * filling a block after its caller returned works on live state; it
+ * can no longer write the output, because every block is finished by
+ * then.
  *
  * Helper threads start lazily on the first query that is published to
  * them and are joined by stop(). A scheduler with zero helpers never
@@ -46,13 +50,16 @@
 #define UNCERTAIN_CORE_BLOCK_SCHEDULER_HPP
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -109,7 +116,8 @@ class WorkspacePool
  * One multi-block query as the scheduler sees it. fill() may run
  * twice for one block (a take-over) and on any thread, so it must be
  * a pure function of the block index; commit() runs exactly once per
- * block; fold() runs on the caller only, in index order.
+ * block, on whichever thread won it, and is visible to the caller
+ * when run() returns.
  */
 class BlockTask
 {
@@ -127,11 +135,8 @@ class BlockTask
     virtual BatchWorkspace& fill(std::size_t block,
                                  WorkspacePool& workspaces) = 0;
 
-    /** Write the block fill() computed in @p workspace to the output. */
+    /** Consume the block fill() computed in @p workspace. */
     virtual void commit(std::size_t block, BatchWorkspace& workspace) = 0;
-
-    /** Consume a committed block; the caller's in-order reduction. */
-    virtual void fold(std::size_t /*block*/) {}
 
   private:
     friend class BlockScheduler;
@@ -144,20 +149,18 @@ class BlockTask
 };
 
 /**
- * The blocks of [offset, offset + n) of a plan's root column, written
- * to out[0..n) (Out differs from T only for the byte-per-observation
- * evidence of a bool root).
+ * The blocks of [offset, offset + n) of a plan's root column, filled
+ * in the participant's workspace; subclasses say what commit() does
+ * with each.
  */
-template <typename T, typename Out = T>
-class PlanBlocks : public BlockTask
+class PlanTask : public BlockTask
 {
   public:
-    PlanBlocks(std::shared_ptr<const BatchPlan> plan, const Rng& base,
-               std::size_t offset, std::size_t n, std::size_t blockSize,
-               Out* out)
+    PlanTask(std::shared_ptr<const BatchPlan> plan, const Rng& base,
+             std::size_t offset, std::size_t n, std::size_t blockSize)
         : BlockTask((n + blockSize - 1) / blockSize),
           plan_(std::move(plan)), base_(base), offset_(offset), n_(n),
-          blockSize_(blockSize), out_(out)
+          blockSize_(blockSize)
     {}
 
     BatchWorkspace&
@@ -170,6 +173,29 @@ class PlanBlocks : public BlockTask
         return workspace;
     }
 
+  protected:
+    std::shared_ptr<const BatchPlan> plan_;
+    Rng base_;
+    std::size_t offset_;
+    std::size_t n_;
+    std::size_t blockSize_;
+};
+
+/**
+ * The blocks of a plan's root column written to out[0..n) (Out
+ * differs from T only for the byte-per-observation evidence of a bool
+ * root).
+ */
+template <typename T, typename Out = T>
+class PlanBlocks : public PlanTask
+{
+  public:
+    PlanBlocks(std::shared_ptr<const BatchPlan> plan, const Rng& base,
+               std::size_t offset, std::size_t n, std::size_t blockSize,
+               Out* out)
+        : PlanTask(std::move(plan), base, offset, n, blockSize), out_(out)
+    {}
+
     void
     commit(std::size_t block, BatchWorkspace& workspace) override
     {
@@ -179,42 +205,99 @@ class PlanBlocks : public BlockTask
                   out_ + block * blockSize_);
     }
 
-  protected:
-    std::shared_ptr<const BatchPlan> plan_;
-    Rng base_;
-    std::size_t offset_;
-    std::size_t n_;
-    std::size_t blockSize_;
+  private:
     Out* out_;
 };
 
-/** PlanBlocks that also sums the draws in index order as blocks
- *  finish: `total = x0; total = total + xi` over i = 1..n-1, the
- *  exact order of the serial expectedValue loop. */
+/**
+ * The sum of x[0..len), len >= 1, in the one shape every batch and
+ * served mean takes. Below eight values it is the left fold x0 + x1 +
+ * ... . Otherwise lane j (j < 8) sums x[j], x[j + 8], x[j + 16], ...
+ * in index order, and the lanes are joined as ((l0 + l1) + (l2 + l3))
+ * + ((l4 + l5) + (l6 + l7)). Eight independent chains let the adds
+ * overlap where one chain would wait on each; the shape is fixed, so
+ * the bits depend only on the values. Needs only T + T, no T{}.
+ */
 template <typename T>
-class MeanBlocks final : public PlanBlocks<T>
+T
+blockSum(const T* x, std::size_t len)
+{
+    if (len < 8) {
+        T sum = x[0];
+        for (std::size_t i = 1; i < len; ++i)
+            sum = sum + x[i];
+        return sum;
+    }
+    std::array<T, 8> lane{x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]};
+    std::size_t i = 8;
+    for (; i + 8 <= len; i += 8) {
+        for (std::size_t j = 0; j < 8; ++j)
+            lane[j] = lane[j] + x[i + j];
+    }
+    for (std::size_t j = 0; i + j < len; ++j)
+        lane[j] = lane[j] + x[i + j];
+    return ((lane[0] + lane[1]) + (lane[2] + lane[3]))
+           + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+/**
+ * The sum of x[0..n), n >= 1, cut into blocks of @p blockSize: each
+ * block's blockSum, added in block order. This is the sum behind a
+ * batch expectedValue of n draws at that block size.
+ */
+template <typename T>
+T
+sumInBlocks(const T* x, std::size_t n, std::size_t blockSize)
+{
+    T sum = blockSum(x, std::min(blockSize, n));
+    for (std::size_t start = blockSize; start < n; start += blockSize)
+        sum = sum + blockSum(x + start, std::min(blockSize, n - start));
+    return sum;
+}
+
+/**
+ * The blocks of a plan's root column reduced where they are
+ * committed: partial b is reduce(column, length) of block b, and
+ * total() adds the partials in block order. Holds blocks() partials,
+ * never the draws.
+ */
+template <typename T, typename Reduce>
+class ReduceBlocks final : public PlanTask
 {
   public:
-    using PlanBlocks<T>::PlanBlocks;
+    using Partial = std::invoke_result_t<const Reduce&,
+                                         const batch::Store<T>*,
+                                         std::size_t>;
+
+    ReduceBlocks(std::shared_ptr<const BatchPlan> plan, const Rng& base,
+                 std::size_t offset, std::size_t n, std::size_t blockSize,
+                 Reduce reduce)
+        : PlanTask(std::move(plan), base, offset, n, blockSize),
+          reduce_(std::move(reduce)),
+          partials_(blocks())
+    {}
 
     void
-    fold(std::size_t block) override
+    commit(std::size_t block, BatchWorkspace& workspace) override
     {
-        const std::size_t start = block * this->blockSize_;
-        const T* x = this->out_ + start;
-        const std::size_t len =
-            std::min(this->blockSize_, this->n_ - start);
-        std::size_t i = 0;
-        if (block == 0)
-            total_ = x[i++];
-        for (; i < len; ++i)
-            total_ = total_ + x[i];
+        partials_[block].emplace(reduce_(
+            workspace.template column<T>(plan_->rootColumn()).data(),
+            workspace.length()));
     }
 
-    const T& total() const { return total_; }
+    /** The joined partials; valid once run() has returned. */
+    Partial
+    total() const
+    {
+        Partial sum = *partials_[0];
+        for (std::size_t b = 1; b < blocks(); ++b)
+            sum = sum + *partials_[b];
+        return sum;
+    }
 
   private:
-    T total_{};
+    Reduce reduce_;
+    std::vector<std::optional<Partial>> partials_;
 };
 
 /**
@@ -244,8 +327,8 @@ class BlockScheduler
 
     /**
      * Run every block of @p task, claiming blocks on this thread
-     * alongside the helpers, and return once every block is committed
-     * and folded. @p workspaces is the caller's own pool. Rethrows
+     * alongside the helpers, and return once every block is
+     * committed. @p workspaces is the caller's own pool. Rethrows
      * the first exception a block throws on this thread; blocks a
      * helper could not finish are recomputed here first.
      */

@@ -600,11 +600,16 @@ fromPool(std::shared_ptr<const std::vector<T>> pool, std::string label)
             rng.nextBelow(pool->size()))];
     };
     auto bulk = [pool](Rng& rng, batch::Store<T>* out, std::size_t n) {
-        const std::uint64_t size = pool->size();
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i] = static_cast<batch::Store<T>>(
-                (*pool)[static_cast<std::size_t>(
-                    rng.nextBelow(size))]);
+        // The picks of n nextBelow() calls, drawn a chunk at a time.
+        constexpr std::size_t kChunk = 256;
+        std::uint64_t picks[kChunk];
+        for (std::size_t start = 0; start < n; start += kChunk) {
+            const std::size_t len = std::min(kChunk, n - start);
+            rng.fillBelow(pool->size(), picks, len);
+            for (std::size_t i = 0; i < len; ++i) {
+                out[start + i] = static_cast<batch::Store<T>>(
+                    (*pool)[static_cast<std::size_t>(picks[i])]);
+            }
         }
     };
     return Uncertain<T>::fromSampler(std::move(scalar),

@@ -637,13 +637,13 @@ UncertainServer::execute(core::BatchSampler& sampler,
             response.samples = sampler.takeSamplesPlan<double>(
                 planFor(instance.value), n, rng);
             response.samplesUsed = n;
-            if (!response.samples.empty()) {
-                double total = 0.0;
-                for (double s : response.samples)
-                    total += s;
+            // The mean an ExpectedValue of the same stream and n
+            // replies: one reduction shape on the serving path.
+            if (n > 0) {
                 response.value =
-                    total
-                    / static_cast<double>(response.samples.size());
+                    core::sumInBlocks(response.samples.data(), n,
+                                      sampler.blockSize())
+                    / static_cast<double>(n);
             }
             break;
           }

@@ -120,9 +120,9 @@ struct ServerOptions
      * lags is never waited for: once nothing is left to claim, the
      * worker recomputes the blocks still out, and the first finished
      * copy of a block is kept. Every block is a pure function of the
-     * request's stream and its index, and the mean is folded in
-     * index order, so replies are bit-identical for any worker and
-     * helper count.
+     * request's stream and its index, and each block's sum is taken
+     * in one fixed shape and added in block order, so replies are
+     * bit-identical for any worker and helper count.
      */
     std::size_t workers = 1;
 

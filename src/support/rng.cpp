@@ -184,6 +184,21 @@ Rng::fillDoubleOpen(double* out, std::size_t n)
     engine_ = engine;
 }
 
+void
+Rng::fillBelow(std::uint64_t bound, std::uint64_t* out, std::size_t n)
+{
+    UNCERTAIN_REQUIRE(bound > 0, "Rng::fillBelow requires bound > 0");
+    const std::uint64_t threshold = (0 - bound) % bound;
+    Xoshiro256StarStar engine = engine_;
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t raw = engine.next();
+        while (raw < threshold)
+            raw = engine.next();
+        out[i] = raw % bound;
+    }
+    engine_ = engine;
+}
+
 namespace {
 
 /** SplitMix64 finalizer as a stand-alone 64-bit mixing function. */

@@ -184,6 +184,12 @@ class Rng
     /** n values of nextDoubleOpen() into @p out. */
     void fillDoubleOpen(double* out, std::size_t n);
 
+    /** n values of nextBelow(@p bound) into @p out: the same words
+     *  drawn and rejected, the rejection threshold computed once.
+     *  Requires bound > 0. */
+    void fillBelow(std::uint64_t bound, std::uint64_t* out,
+                   std::size_t n);
+
     /**
      * Split off an independent stream: the result is a copy of this
      * engine jumped ahead 2^128 steps, and this engine is jumped once

@@ -30,6 +30,7 @@
 #include "core/core.hpp"
 #include "core/inspect.hpp"
 #include "random/gaussian.hpp"
+#include "plan_configs.hpp"
 #include "stat_assert.hpp"
 #include "test_util.hpp"
 
@@ -67,20 +68,6 @@ samplesWith(const Uncertain<T>& expr, const PlanOptions& optimizer,
 
 /** The optimizer off at the default backend. */
 const PlanOptions kUnoptimized{false, simd::ExecBackend::Auto};
-
-/** The six plan configurations: optimizer {off, on} x backend
- *  {Auto, Simd, Scalar}. */
-std::vector<PlanOptions>
-planConfigs()
-{
-    std::vector<PlanOptions> configs;
-    for (bool optimize : {false, true})
-        for (auto backend : {simd::ExecBackend::Auto,
-                             simd::ExecBackend::Simd,
-                             simd::ExecBackend::Scalar})
-            configs.push_back({optimize, backend});
-    return configs;
-}
 
 // ---------------------------------------------------------------------
 // Structural CSE.
@@ -280,7 +267,7 @@ TEST(BatchOptimizer, WideFusableRunIsOneGroup)
             << bools << " x " << terms;
         const std::size_t n = 2017;
         auto reference = samplesWith(expr, PlanOptions::disabled(), n, 54);
-        for (const auto& options : planConfigs()) {
+        for (const auto& options : testing::planConfigs()) {
             auto samples = samplesWith(expr, options, n, 54);
             ASSERT_EQ(samples.size(), n);
             EXPECT_EQ(std::memcmp(samples.data(), reference.data(),
@@ -346,7 +333,7 @@ TEST(BatchOptimizer, AllToggleCombinationsAreBitIdentical)
     auto expr = representativeGraph();
     auto baseline =
         samplesWith(expr, PlanOptions::disabled(), 8000, 52, 768);
-    for (const auto& options : planConfigs()) {
+    for (const auto& options : testing::planConfigs()) {
         auto samples = samplesWith(expr, options, 8000, 52, 768);
         EXPECT_EQ(samples, baseline)
             << "optimize " << options.optimize << " backend "

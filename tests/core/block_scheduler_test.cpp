@@ -17,10 +17,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -28,6 +31,7 @@
 #endif
 
 #include "core/core.hpp"
+#include "plan_configs.hpp"
 #include "random/gaussian.hpp"
 #include "serve/server.hpp"
 #include "test_util.hpp"
@@ -87,6 +91,139 @@ TEST(BlockScheduler, BitExactAgainstTheSerialLoop)
             EXPECT_EQ(scheduler->startedHelpers(), 0u);
         }
     }
+}
+
+/**
+ * The documented sum of a batch mean, recomputed apart from blockSum:
+ * per block, a left fold below eight values, else lane i % 8 sums
+ * x[i] in index order and the lanes join as ((l0 + l1) + (l2 + l3)) +
+ * ((l4 + l5) + (l6 + l7)); the block sums add in block order.
+ */
+template <typename T>
+T
+documentedSum(const std::vector<T>& x, std::size_t blockSize)
+{
+    const auto add = [](std::optional<T>& sum, const T& value) {
+        if (sum)
+            *sum = *sum + value;
+        else
+            sum.emplace(value);
+    };
+    std::optional<T> total;
+    for (std::size_t start = 0; start < x.size(); start += blockSize) {
+        const std::size_t len = std::min(blockSize, x.size() - start);
+        std::optional<T> block;
+        if (len < 8) {
+            for (std::size_t i = 0; i < len; ++i)
+                add(block, x[start + i]);
+        } else {
+            std::vector<std::optional<T>> lane(8);
+            for (std::size_t i = 0; i < len; ++i)
+                add(lane[i % 8], x[start + i]);
+            block.emplace(((*lane[0] + *lane[1]) + (*lane[2] + *lane[3]))
+                          + ((*lane[4] + *lane[5])
+                             + (*lane[6] + *lane[7])));
+        }
+        add(total, *block);
+    }
+    return *total;
+}
+
+/** Whether @p a and @p b have the same object representation. */
+template <typename T>
+bool
+sameBits(const T& a, const T& b)
+{
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/**
+ * A batch expectedValue of @p value against documentedSum of the
+ * draws takeSamples gives for the same stream, over every plan
+ * configuration, helper counts {0, 1, 3} and n at the block edges.
+ */
+template <typename T>
+void
+expectTheDocumentedMean(const Uncertain<T>& value)
+{
+    for (const auto& options : testing::planConfigs()) {
+        for (unsigned helpers : {0u, 1u, 3u}) {
+            BatchSampler sampler(BatchOptions{kBlock, options}, nullptr,
+                                 std::make_shared<BlockScheduler>(helpers));
+            for (std::size_t n : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{8}, std::size_t{9},
+                                  kBlock - 1, kBlock, 3 * kBlock + 17}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "optimize " << options.optimize
+                             << " backend "
+                             << static_cast<int>(options.backend)
+                             << " helpers " << helpers << " n " << n);
+                Rng a = testing::testRng(1500 + n);
+                Rng b = testing::testRng(1500 + n);
+                const std::vector<T> draws =
+                    sampler.takeSamples(value.node(), n, a);
+                const T sum = documentedSum(draws, kBlock);
+                EXPECT_TRUE(sameBits(
+                    sampler.expectedValue(value.node(), n, b),
+                    static_cast<T>(sum / static_cast<double>(n))));
+                EXPECT_TRUE(
+                    sameBits(sumInBlocks(draws.data(), n, kBlock), sum));
+            }
+        }
+    }
+}
+
+TEST(BlockScheduler, ExpectedValueIsTheDocumentedSumOfItsDraws)
+{
+    expectTheDocumentedMean(sharedLeafChain());
+    // float rounds at every add, so a different order shows in its
+    // bits sooner than double's.
+    auto u = Uncertain<float>::fromSampler(
+        [](Rng& rng) { return static_cast<float>(rng.nextDouble()); },
+        "u");
+    expectTheDocumentedMean(u * u + u);
+}
+
+/** A base type with T + T and nothing else (no T{}): the sum it
+ *  builds spells out the order of its additions. */
+class Spelled
+{
+  public:
+    explicit Spelled(std::string text) : text_(std::move(text)) {}
+
+    Spelled
+    operator+(const Spelled& other) const
+    {
+        return Spelled("(" + text_ + "+" + other.text_ + ")");
+    }
+
+    const std::string& text() const { return text_; }
+
+  private:
+    std::string text_;
+};
+
+TEST(BlockScheduler, BlockSumHasTheDocumentedShape)
+{
+    for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                          std::size_t{9}, std::size_t{23}, std::size_t{40},
+                          std::size_t{41}}) {
+        std::vector<Spelled> x;
+        for (std::size_t i = 0; i < n; ++i)
+            x.emplace_back(std::to_string(i));
+        for (std::size_t blockSize : {std::size_t{1}, std::size_t{8},
+                                      std::size_t{16}, n}) {
+            EXPECT_EQ(sumInBlocks(x.data(), n, blockSize).text(),
+                      documentedSum(x, blockSize).text())
+                << "n " << n << " blockSize " << blockSize;
+        }
+    }
+    const std::vector<Spelled> nine{
+        Spelled("0"), Spelled("1"), Spelled("2"), Spelled("3"), Spelled("4"),
+        Spelled("5"), Spelled("6"), Spelled("7"), Spelled("8")};
+    EXPECT_EQ(blockSum(nine.data(), 9).text(),
+              "((((0+8)+1)+(2+3))+((4+5)+(6+7)))");
+    EXPECT_EQ(blockSum(nine.data(), 3).text(), "((0+1)+2)");
 }
 
 TEST(BlockScheduler, TwoConcurrentCallersShareOneScheduler)

@@ -60,6 +60,7 @@
 #include "support/rng.hpp"
 
 #include "certify/certify_test_util.hpp"
+#include "plan_configs.hpp"
 #include "stat_assert.hpp"
 #include "test_util.hpp"
 
@@ -130,20 +131,6 @@ stripHeavyGraph()
     auto chain = ((x * 1.0101 + 0.25) * 0.5 - 1.5) / 0.75;
     auto shared = (y + x) + x;
     return chain + shared * 0.125 - (-y);
-}
-
-/** The six plan configurations: optimizer {off, on} x backend
- *  {Auto, Simd, Scalar}. */
-std::vector<PlanOptions>
-planConfigs()
-{
-    std::vector<PlanOptions> configs;
-    for (bool optimize : {false, true})
-        for (auto backend : {simd::ExecBackend::Auto,
-                             simd::ExecBackend::Simd,
-                             simd::ExecBackend::Scalar})
-            configs.push_back({optimize, backend});
-    return configs;
 }
 
 std::string
@@ -586,7 +573,7 @@ TEST(SimdBackend, PlanOutputsBitIdenticalAcrossBackendsAndToggles)
     // transcription semantics every configuration must reproduce.
     const auto ref = planSamples(expr, PlanOptions::disabled(), n,
                                  seed);
-    for (const auto& options : planConfigs()) {
+    for (const auto& options : testing::planConfigs()) {
         EXPECT_TRUE(bitIdentical(ref, planSamples(expr, options, n, seed)))
             << configName(options);
     }
@@ -625,7 +612,7 @@ TEST(SimdBackend, NonRegisterableValuesStayColumnsInEveryGroup)
     const std::size_t n = 2017;
     const std::uint64_t seed = 84;
     const auto ref = planSamples(expr, PlanOptions::disabled(), n, seed);
-    for (const auto& options : planConfigs()) {
+    for (const auto& options : testing::planConfigs()) {
         EXPECT_TRUE(bitIdentical(ref, planSamples(expr, options, n, seed)))
             << configName(options);
     }
@@ -650,7 +637,7 @@ expectOnEveryPath(const Uncertain<T>& expr, T want, const std::string& what)
     Rng treeRng = testing::testRng(95);
     EXPECT_TRUE(allEqual(expr.takeSamples(n, treeRng)))
         << what << " tree walk";
-    for (const auto& options : planConfigs()) {
+    for (const auto& options : testing::planConfigs()) {
         Rng rng = testing::testRng(95);
         BatchSampler sampler(BatchOptions{1024, options});
         EXPECT_TRUE(allEqual(expr.takeSamples(n, rng, sampler)))
@@ -735,7 +722,7 @@ TEST(SimdBackend, IntegerDivisionByZeroThrowsOnEveryPath)
     Rng treeRng = testing::testRng(96);
     expectDivisionByZero([&] { (void)divided.takeSamples(n, treeRng); },
                          "tree walk");
-    for (const auto& options : planConfigs()) {
+    for (const auto& options : testing::planConfigs()) {
         for (const auto* expr : {&divided, &folded}) {
             Rng rng = testing::testRng(96);
             BatchSampler sampler(BatchOptions{1024, options});
@@ -863,7 +850,7 @@ TEST(SimdBackend, JitPlanHandlesIeeeEdgeCasesAndOddTails)
     const std::uint64_t seed = 83;
     const auto ref = planSamples(expr, PlanOptions::disabled(), n,
                                  seed);
-    for (const auto& options : planConfigs()) {
+    for (const auto& options : testing::planConfigs()) {
         EXPECT_TRUE(bitIdentical(ref, planSamples(expr, options, n, seed)))
             << configName(options);
     }

@@ -544,6 +544,36 @@ TEST(ServeEquivalence, ExpectedValueAndSamplesMatchDirectBatchSampler)
               std::bit_cast<std::uint64_t>(serialMean));
 }
 
+TEST(ServeEquivalence, TakeSamplesReplyMeanIsTheExpectedValueReply)
+{
+    ServerOptions options;
+    options.seed = sweptServerSeed(23);
+    // Small blocks, so a TakeSamples within kMaxSamplesPerReply spans
+    // several of them.
+    options.batch.blockSize = 256;
+    UncertainServer server(options);
+    server.start();
+    LoopbackClient client(server);
+
+    // Same tenant and request id, so the same stream: the two replies
+    // carry the same draws' mean, and the serving path has one shape.
+    for (std::size_t n : {std::size_t{9}, 3 * options.batch.blockSize + 17}) {
+        Request take = serveChainRequest(Opcode::TakeSamples, 3, 11, -1.0,
+                                         0.5, 4.0, 0.0);
+        take.sampleCount = static_cast<std::uint32_t>(n);
+        Request ev = take;
+        ev.opcode = Opcode::ExpectedValue;
+        const Response takeReply = client.call(take);
+        const Response evReply = client.call(ev);
+        ASSERT_EQ(takeReply.status, Status::Ok);
+        ASSERT_EQ(evReply.status, Status::Ok);
+        ASSERT_EQ(takeReply.samples.size(), n);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(takeReply.value),
+                  std::bit_cast<std::uint64_t>(evReply.value))
+            << "n " << n;
+    }
+}
+
 TEST(ServeScheduler, HelpersStartOnTheFirstMultiBlockQuery)
 {
     ServerOptions options;

@@ -124,6 +124,29 @@ TEST(Rng, NextBelowRejectsZeroBound)
     EXPECT_THROW(rng.nextBelow(0), Error);
 }
 
+TEST(Rng, FillBelowMatchesNextBelow)
+{
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    for (std::uint64_t bound :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+          std::uint64_t{4000}, std::uint64_t{0xffffffff},
+          std::uint64_t{0x100000001}, (std::uint64_t{1} << 63) + 1,
+          kMax}) {
+        SCOPED_TRACE(::testing::Message() << "bound " << bound);
+        Rng filled = testing::testRng(8);
+        Rng called = testing::testRng(8);
+        std::vector<std::uint64_t> out(1001);
+        filled.fillBelow(bound, out.data(), out.size());
+        for (std::size_t i = 0; i < out.size(); ++i)
+            ASSERT_EQ(out[i], called.nextBelow(bound)) << "draw " << i;
+        // Both engines consumed the same words, rejections included.
+        EXPECT_EQ(filled.nextU64(), called.nextU64());
+    }
+    Rng rng = testing::testRng(8);
+    std::uint64_t out = 0;
+    EXPECT_THROW(rng.fillBelow(0, &out, 1), Error);
+}
+
 TEST(Rng, NextRangeRespectsBounds)
 {
     Rng rng = testing::testRng(7);
